@@ -11,9 +11,15 @@ plots from hardware:
 * **drift** — long-run total-energy drift per atom over 2000 NVE steps,
   the accuracy cost of each mode (MIXED must stay within ~2x of
   DOUBLE's discretization drift; SINGLE drifts measurably);
-* **oracle error** — relative force error of the production
-  ``numpy_fast`` backend in each mode against the float64 ``numpy_ref``
-  oracle, asserting the per-mode tolerance tiers (1e-12 / 1e-5 / 1e-4).
+* **oracle error** — relative force error of the ``numpy_fast``
+  backend in each mode against the float64 ``numpy_ref`` oracle,
+  asserting the per-mode tolerance tiers (1e-12 / 1e-5 / 1e-4).
+
+Every run is pinned to ``numpy_fast``, the backend the ordering and
+drift gates are calibrated on: under the ``auto`` default a
+compiled-capable host would run ``compiled``, whose SINGLE-policy
+neighbor build stays on the numpy path and so inverts the
+single-vs-double throughput ordering the full run gates.
 
 Results land in ``BENCH_precision.json`` at the repo root — the
 measured companion to the modeled ``benchmarks/test_fig15_precision_cpu.py``.
@@ -40,11 +46,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.md.kernels import (  # noqa: E402
-    backend_spec,
-    get_backend,
-    resolve_auto_backend,
-)
+from repro.md.kernels import get_backend, resolve_auto_backend  # noqa: E402
 from repro.observability.telemetry import (  # noqa: E402
     TelemetrySampler,
     detect_provider,
@@ -59,6 +61,9 @@ from repro.report import (  # noqa: E402
 from repro.suite import get_benchmark  # noqa: E402
 
 MODES = ("single", "mixed", "double")
+
+#: The backend every run is pinned to (see the module docstring).
+BACKEND = "numpy_fast"
 
 #: Per-mode relative force-error ceilings of numpy_fast vs the float64
 #: numpy_ref oracle (the acceptance tiers; also PrecisionPolicy.force_rtol).
@@ -84,6 +89,7 @@ def _throughput(bench_name: str, n_atoms: int, *, warmup: int, steps: int,
     for mode in MODES:
         bench = get_benchmark(bench_name)
         sim = bench.build(n_atoms)
+        sim.set_backend(BACKEND)
         sim.set_precision(mode)
         sim.setup()
         sim.run(warmup)
@@ -141,6 +147,7 @@ def _drift(bench_name: str, n_atoms: int, *, steps: int, sample_every: int,
     for mode in MODES:
         bench = get_benchmark(bench_name)
         sim = bench.build(n_atoms)
+        sim.set_backend(BACKEND)
         sim.set_precision(mode)
         sim.setup()
         e0 = float(sim.total_energy())
@@ -184,6 +191,7 @@ def _oracle_error(n_atoms: int, *, verbose: bool, evolve_steps: int = 10
     for mode in MODES:
         bench = get_benchmark("lj")
         sim = bench.build(n_atoms)
+        sim.set_backend(BACKEND)
         sim.set_precision(mode)
         sim.setup()
         sim.run(evolve_steps)
@@ -235,11 +243,9 @@ def run(*, smoke: bool, verbose: bool = True) -> dict:
         results += _oracle_error(4096, verbose=verbose)
     return make_report(
         "precision",
-        # Thresholds here are calibrated on the default backend; the
-        # record still names what `auto` would pick on this host.
         backend={
-            "requested": "default",
-            "resolved": backend_spec(get_backend(None)),
+            "requested": BACKEND,
+            "resolved": BACKEND,
             "auto_resolves_to": resolve_auto_backend(),
         },
         precision=list(MODES),

@@ -166,7 +166,7 @@ def run(*, quick: bool, workers: int = 4, verbose: bool = True) -> dict:
               f"{REPEAT_FACTOR} = {len(submissions)} submissions]",
               flush=True)
 
-    # Warm one-time costs (native kernel build/JIT, lattice caches) so
+    # Warm one-time costs (native kernel build, lattice caches) so
     # neither path is charged for them.
     warm = JobSpec(benchmark="lj", n_atoms=150, steps=2, backend="auto")
     execute_job(warm)

@@ -6,7 +6,7 @@ spec (a ``[base]`` job section plus ``[sweep]`` axes) expands into a
 validated job matrix, runs through the batch service (overlapping
 sweep cells get content-addressed dedup and in-flight coalescing for
 free), and lands as one merged, provenance-stamped
-``repro-bench-report/2`` record plus optional figure regeneration.
+``repro-bench-report/2`` record.
 
 See ``docs/CAMPAIGN.md`` for the spec format and
 ``python -m repro campaign --help`` for the CLI.

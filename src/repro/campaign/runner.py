@@ -7,7 +7,7 @@ dedup, in-flight coalescing, bounded pool, fault recovery) live in
 *accounting* — which sweep cells collapsed onto the same content
 address, how many executions the dedup layer saved — and the merged
 ``repro-bench-report/2`` record a characterization campaign is run
-for, plus optional figure regeneration from the freshly merged data.
+for.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.report import energy_provenance, make_report, platform_info
 from repro.service import BatchService, JobResult, JobSpec
 
-__all__ = ["run_campaign", "render_figures"]
+__all__ = ["run_campaign"]
 
 
 def _dedup_accounting(
@@ -76,36 +76,18 @@ def _cell_row(spec: JobSpec, result: JobResult) -> dict:
     }
 
 
-def render_figures(names, directory: str | Path) -> list[str]:
-    """Regenerate named figures into ``directory`` (one .txt each)."""
-    import importlib
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in names:
-        module = importlib.import_module(f"repro.figures.{name}")
-        path = directory / f"{name}.txt"
-        path.write_text(module.generate().render() + "\n")
-        written.append(str(path))
-    return written
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
     out: str | Path | None = None,
     pool_workers: int | None = None,
-    figure_dir: str | Path | None = None,
     timeout: float | None = None,
     verbose: bool = False,
 ) -> dict:
     """Expand ``spec``, execute the matrix, write the merged record.
 
     Returns the validated ``repro-bench-report/2`` dict (also written
-    to ``out`` / the spec's ``out`` path).  Figure hooks render after
-    the record lands, into ``figure_dir`` (default: ``figures/`` next
-    to the report).
+    to ``out`` / the spec's ``out`` path).
     """
     specs = spec.expand()
     n_workers = int(pool_workers or spec.pool_workers)
@@ -167,15 +149,5 @@ def run_campaign(
             f"{dedup['dedup_hits']} dedup hits)",
             flush=True,
         )
-
-    if spec.figures:
-        target = (
-            Path(figure_dir)
-            if figure_dir is not None
-            else destination.parent / "figures"
-        )
-        for path in render_figures(spec.figures, target):
-            if verbose:
-                print(f"figure -> {path}", flush=True)
 
     return report

@@ -5,7 +5,6 @@ A spec has three tables::
     [campaign]
     name    = "precision-sweep"          # required
     out     = "BENCH_campaign.json"      # merged report destination
-    figures = ["table2"]                 # regenerate after the run
     pool_workers = 2                     # batch-service pool size
 
     [base]                               # JobSpec defaults for every cell
@@ -71,7 +70,7 @@ JOB_FIELDS = (
 )
 
 #: Keys the ``[campaign]`` table understands.
-CAMPAIGN_FIELDS = ("name", "out", "figures", "pool_workers", "timeout_seconds")
+CAMPAIGN_FIELDS = ("name", "out", "pool_workers", "timeout_seconds")
 
 
 class CampaignError(ValueError):
@@ -91,7 +90,6 @@ class CampaignSpec:
     base: dict
     sweep: dict
     out: str = "BENCH_campaign.json"
-    figures: tuple = ()
     pool_workers: int = 2
     timeout_seconds: float = 600.0
     #: SHA-256 of the source TOML text (provenance; None if built in code).
@@ -301,15 +299,11 @@ def parse_campaign(text: str) -> CampaignSpec:
     if problems:
         raise CampaignError("; ".join(problems))
 
-    figures = meta.get("figures", [])
-    if isinstance(figures, str):
-        figures = [figures]
     return CampaignSpec(
         name=str(meta.get("name", "")),
         base=dict(base),
         sweep=dict(sweep),
         out=str(meta.get("out", "BENCH_campaign.json")),
-        figures=tuple(figures),
         pool_workers=int(meta.get("pool_workers", 2)),
         timeout_seconds=float(meta.get("timeout_seconds", 600.0)),
         source_sha256=hashlib.sha256(text.encode()).hexdigest(),

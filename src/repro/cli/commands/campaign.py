@@ -17,9 +17,6 @@ def _configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pool-workers", type=int, default=None,
                         help="batch-service pool size (default: the "
                              "spec's `pool_workers`, else 2)")
-    parser.add_argument("--figure-dir", default=None, metavar="DIR",
-                        help="where figure hooks render (default: "
-                             "figures/ next to the report)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="seconds to wait for the matrix (default: "
                              "the spec's `timeout_seconds`, else 600)")
@@ -59,7 +56,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             spec,
             out=args.out,
             pool_workers=args.pool_workers,
-            figure_dir=args.figure_dir,
             timeout=args.timeout,
             verbose=True,
         )

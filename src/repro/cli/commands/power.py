@@ -116,11 +116,12 @@ def _cmd_power(args: argparse.Namespace) -> int:
         )
         print(f"wrote {path}")
     if args.json:
+        from repro.md.kernels import backend_spec
         from repro.report import make_report, platform_info
 
         report = make_report(
             "power",
-            backend={"requested": "auto", "resolved": sim.backend.name},
+            backend={"requested": "auto", "resolved": backend_spec(sim.backend)},
             precision="double",
             energy={"provider": provider.name, "kind": provider.kind},
             platform=platform_info(**platform_provenance()),

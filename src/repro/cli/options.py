@@ -21,8 +21,8 @@ __all__ = [
 PRECISION_CHOICES = ("single", "mixed", "double")
 
 _BACKEND_HELP = (
-    "kernel backend (numpy_ref, numpy_fast, compiled, auto); an "
-    "unavailable optional backend falls back to numpy_fast with the "
+    "kernel backend (auto [default], numpy_ref, numpy_fast, compiled); "
+    "an unavailable compiled backend falls back to numpy_fast with the "
     "reason printed, an unknown name lists what exists"
 )
 

@@ -9,22 +9,20 @@ so that the same potentials run on interchangeable implementations:
     oracle and the baseline the benchmark harness measures against.
 ``numpy_fast``
     CSR-ordered pairs, ``np.bincount`` segmented accumulation and
-    preallocated scratch buffers (the default).
+    preallocated scratch buffers — the portable fallback.
 ``compiled``
-    Native-code pair forces *and* neighbor-list builds, via numba
-    ``@njit`` kernels when numba is importable or a ctypes-bound C
-    library compiled on first use otherwise.  Optional: when neither
-    provider works, requesting it falls back to ``numpy_fast`` with a
-    one-time warning (see :func:`backend_diagnostics` for the reason).
+    Native-code pair forces *and* neighbor-list builds via a ctypes-bound
+    C library compiled on first use.  Optional: without a working C
+    compiler, requesting it falls back to ``numpy_fast`` with a one-time
+    warning (see :func:`backend_diagnostics` for the reason).
 
 Selection order: an explicit ``Simulation(backend=...)`` argument wins,
 then the ``REPRO_KERNEL_BACKEND`` environment variable, then
-:data:`DEFAULT_BACKEND`.  The meta-name ``auto`` (valid in both the
-argument and the environment variable) resolves to ``compiled`` when a
-native provider passes its smoke test and to ``numpy_fast`` otherwise —
-the fastest backend the machine can actually run, without the silent
-numpy default that benchmark records used to hide on compiled-capable
-hosts.
+:data:`DEFAULT_BACKEND`, which is the meta-name ``auto``.  ``auto``
+(valid in both the argument and the environment variable) resolves to
+``compiled`` when the native provider passes its smoke test and to
+``numpy_fast`` otherwise — the fastest backend the machine can actually
+run, silently, since nothing was explicitly requested.
 """
 
 from __future__ import annotations
@@ -59,11 +57,11 @@ __all__ = [
 #: Environment variable consulted when no explicit backend is passed.
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-#: Backend used when neither an argument nor the env var selects one.
-DEFAULT_BACKEND = "numpy_fast"
-
 #: Meta-name resolving to the fastest backend this machine supports.
 AUTO_BACKEND = "auto"
+
+#: Backend used when neither an argument nor the env var selects one.
+DEFAULT_BACKEND = AUTO_BACKEND
 
 _REGISTRY: dict[str, type[KernelBackend]] = {
     NumpyRefBackend.name: NumpyRefBackend,
@@ -79,8 +77,8 @@ def available_backends() -> tuple[str, ...]:
     """Names accepted by :func:`get_backend`, in registry order.
 
     Every listed name is always *accepted*; optional backends that
-    cannot run on this machine resolve to the :data:`DEFAULT_BACKEND`
-    with a one-time warning.  :func:`backend_diagnostics` reports which
+    cannot run on this machine resolve to ``numpy_fast`` with a
+    one-time warning.  :func:`backend_diagnostics` reports which
     names are degraded and why.
     """
     return tuple(_REGISTRY)
@@ -89,8 +87,8 @@ def available_backends() -> tuple[str, ...]:
 def backend_diagnostics() -> dict[str, str]:
     """Per-backend availability: ``"ok"`` or why it would fall back.
 
-    Probing an optional backend may do real work on first call (import
-    numba and JIT-compile, or invoke the C compiler), so this is meant
+    Probing an optional backend may do real work on first call (invoke
+    the C compiler and smoke-test the library), so this is meant
     for CLIs, benchmarks and error paths — not per-step code.
     """
     diagnostics = {}
@@ -103,14 +101,14 @@ def backend_diagnostics() -> dict[str, str]:
 def resolve_auto_backend() -> str:
     """The registry name ``auto`` stands for on this machine.
 
-    ``compiled`` when a native provider (numba or a C compiler) passes
-    its smoke test, else :data:`DEFAULT_BACKEND`.  The probe may do
-    real work on first call (JIT or invoke ``cc``); the result is
-    cached by the provider layer, so later calls are cheap.
+    ``compiled`` when the native C provider passes its smoke test, else
+    ``numpy_fast``.  The probe may do real work on first call (invoke
+    ``cc``); the result is cached by the provider layer, so later calls
+    are cheap.
     """
     from repro.md.kernels.compiled import compiled_available
 
-    return "compiled" if compiled_available() else DEFAULT_BACKEND
+    return "compiled" if compiled_available() else "numpy_fast"
 
 
 def get_backend(spec: str | KernelBackend | None = None) -> KernelBackend:
@@ -123,10 +121,12 @@ def get_backend(spec: str | KernelBackend | None = None) -> KernelBackend:
     a Simulation can share one scratch-carrying backend across its
     potentials).
 
-    Requesting an optional backend whose runtime support is missing
-    (e.g. ``compiled`` with neither numba nor a C compiler) returns the
-    default backend and warns once per process with the reason, so an
+    Explicitly requesting an optional backend whose runtime support is
+    missing (e.g. ``compiled`` without a C compiler) returns
+    ``numpy_fast`` and warns once per process with the reason, so an
     exported ``REPRO_KERNEL_BACKEND=compiled`` can never break a run.
+    ``auto`` (the default) never warns: it only picks ``compiled`` when
+    the provider already resolved.
     """
     if isinstance(spec, KernelBackend):
         return spec
@@ -155,11 +155,11 @@ def get_backend(spec: str | KernelBackend | None = None) -> KernelBackend:
             _warned_fallbacks.add(key)
             warnings.warn(
                 f"kernel backend {spec!r} is unavailable on this machine "
-                f"({exc}); falling back to {DEFAULT_BACKEND!r}",
+                f"({exc}); falling back to 'numpy_fast'",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return _REGISTRY[DEFAULT_BACKEND]()
+        return NumpyFastBackend()
 
 
 def backend_spec(backend: KernelBackend) -> str:

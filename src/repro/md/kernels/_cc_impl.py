@@ -1,14 +1,14 @@
 """C-compiler provider for the ``compiled`` kernel backend.
 
-When numba is not installed (or its JIT is broken), the ``compiled``
-backend can still deliver native-code speed anywhere a C compiler is
-on ``PATH``: this module carries a single self-contained C translation
-unit implementing the Pair/Neigh hot loops, builds it once into a
-cached shared object with strict IEEE flags, and binds it via the
-stdlib ``ctypes`` — no third-party build dependency at all.
+The ``compiled`` backend's only native provider: it delivers
+native-code speed anywhere a C compiler is on ``PATH``.  This module
+carries a single self-contained C translation unit implementing the
+Pair/Neigh hot loops, builds it once into a cached shared object with
+strict IEEE flags, and binds it via the stdlib ``ctypes`` — no
+third-party build dependency at all.
 
-Numerical contract (shared with the numba provider and pinned by the
-backend oracle tests):
+Numerical contract (pinned by the backend smoke test and the oracle
+tests):
 
 * Minimum image uses the exact ``dr -= rint(dr / L) * L`` sequence of
   ``Box.minimum_image`` (round-half-even ``rint``), per periodic dim.
@@ -549,7 +549,7 @@ class CcProvider:
             ],
         )
 
-    # -- uniform provider API (shared with the numba provider) ---------
+    # -- provider API consumed by CompiledBackend ---------------------
     @staticmethod
     def _key(out, values):
         return (out.dtype.type, values.dtype.type)

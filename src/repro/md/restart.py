@@ -22,11 +22,9 @@ just plain NVE:
   floating-point summation order) and the same rebuild cadence as the
   uninterrupted run, plus all bookkeeping counters.
 
-Format v1 files (pre-reliability, particle state only) are detected
-explicitly: :func:`restore_simulation` refuses them unless the caller
-opts into the lossy upgrade with ``allow_v1=True``, because loading one
-as if it were complete silently diverges for every thermostatted or
-granular workload.  See ``docs/RELIABILITY.md`` for the layout.
+Any other format version — including the particle-state-only v1 —
+is rejected with :class:`SnapshotError`.  See ``docs/RELIABILITY.md``
+for the layout.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ class Snapshot:
     system: AtomSystem
     potential_energy: float | None = None
     virial: float | None = None
-    #: Integrator/fix/constraint/counter state (empty for v1 files).
+    #: Integrator/fix/constraint/counter state.
     state: dict = field(default_factory=dict)
     #: ``(positions_at_build, box_lengths_at_build)`` of the neighbor
     #: list, or ``None`` if the simulation was never set up.
@@ -246,15 +244,12 @@ def load_snapshot(path: str | Path) -> Snapshot:
     try:
         with np.load(path) as data:
             version = int(data["format_version"][0])
-            if version not in (1, FORMAT_VERSION):
+            if version != FORMAT_VERSION:
                 raise SnapshotError(
                     f"snapshot format v{version} unsupported (expected "
-                    f"v1 or v{FORMAT_VERSION}): {path}"
+                    f"v{FORMAT_VERSION}): {path}"
                 )
             system, step = _system_from(data)
-            if version == 1:
-                return Snapshot(version=1, step_number=step, system=system)
-
             state = json.loads(bytes(data["state_json"]).decode("utf-8"))
             neighbor_build = None
             if "neigh_positions_at_build" in data:
@@ -288,8 +283,8 @@ def load_snapshot(path: str | Path) -> Snapshot:
 def load_system(path: str | Path) -> tuple[AtomSystem, int]:
     """Rebuild the :class:`AtomSystem` and step counter from a snapshot.
 
-    Works for v1 and v2 files — this accessor only surfaces particle
-    state; use :func:`load_snapshot` for the dynamical extras.
+    This accessor only surfaces particle state; use
+    :func:`load_snapshot` for the dynamical extras.
     """
     snapshot = load_snapshot(path)
     return snapshot.system, snapshot.step_number
@@ -361,7 +356,6 @@ def restore_simulation(
     simulation: Simulation,
     path: str | Path,
     *,
-    allow_v1: bool = False,
     cast: str | None = None,
 ) -> Snapshot:
     """Load a snapshot *into* an existing simulation in place.
@@ -378,19 +372,9 @@ def restore_simulation(
     refused unless ``cast=`` names the simulation's own mode as an
     explicit opt-in — e.g. ``cast="double"`` to promote a SINGLE
     checkpoint's float32 state into a float64 run.
-
-    v1 snapshots only hold particle state.  They are rejected with a
-    :class:`SnapshotError` unless ``allow_v1=True`` explicitly opts into
-    the upgrade, in which case integrator/thermostat/RNG/contact state
-    restarts from the freshly constructed values (documented lossy
-    behavior, exact only for plain NVE).
     """
     snapshot = load_snapshot(path)
-    saved_mode = parse_precision(
-        snapshot.state.get("precision", "double")
-        if snapshot.version != 1
-        else "double"
-    )
+    saved_mode = parse_precision(snapshot.state.get("precision", "double"))
     have_mode = simulation.precision.mode
     if saved_mode != have_mode:
         if cast is None:
@@ -407,24 +391,6 @@ def restore_simulation(
                 f"'{have_mode.value}'; cast names the mode the restored "
                 "state is converted *to*"
             )
-    if snapshot.version == 1:
-        if not allow_v1:
-            raise SnapshotError(
-                f"snapshot {path} is format v1, which captures particle "
-                "state only — integrator/thermostat/fix/RNG/contact state "
-                "is missing, so a blind restore silently diverges for "
-                "anything but plain NVE; pass allow_v1=True to upgrade "
-                "explicitly (dynamic state restarts from fresh values)"
-            )
-        _restore_particle_state(simulation, snapshot.system)
-        simulation.step_number = snapshot.step_number
-        # Legacy semantics: fresh rebuild + force pass from the restored
-        # coordinates (cadence and summation order restart here).
-        simulation.neighbor.build(simulation.system)
-        simulation._compute_forces(count=False)  # noqa: SLF001 - deliberate reset
-        simulation._setup_done = True  # noqa: SLF001
-        return snapshot
-
     _check_tags(simulation, snapshot.state, Path(path))
     _restore_particle_state(simulation, snapshot.system)
     simulation.step_number = snapshot.step_number

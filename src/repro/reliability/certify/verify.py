@@ -535,7 +535,7 @@ def audit_cache(
                 or payload["backend_provider"] != result.backend_provider
             ):
                 # Produced under a different resolved environment (e.g.
-                # numba provider elsewhere, cc here): the address cannot
+                # compiled/cc elsewhere, numpy_fast here): the address cannot
                 # be recomputed locally, and a replay would not be
                 # bitwise — verified as far as the chain goes.
                 report.skipped[key] = (

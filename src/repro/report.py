@@ -107,7 +107,7 @@ def platform_info(**extra) -> dict:
 def make_report(
     kind: str,
     *,
-    backend: dict | str | None = None,
+    backend: dict | str,
     precision=None,
     energy: dict | None = None,
     platform: dict | None = None,
@@ -116,9 +116,9 @@ def make_report(
 ) -> dict:
     """Build and validate one ``repro-bench-report/2`` record.
 
-    ``backend`` may be a bare name (used for both requested and
+    ``backend`` is required: a bare name (used for both requested and
     resolved) or an explicit ``{"requested": ..., "resolved": ...}``
-    mapping.  ``precision`` is one mode or the list of swept modes and
+    mapping, so every record names the backend that actually ran.  ``precision`` is one mode or the list of swept modes and
     defaults to ``"double"``.  ``energy`` defaults to provenance-free
     (``provider="none", kind="unavailable"``) so harnesses without
     telemetry stay honest rather than silent.
@@ -130,10 +130,7 @@ def make_report(
         "kind": kind,
         "created_unix": time.time() if created_unix is None else created_unix,
         "platform": platform if platform is not None else platform_info(),
-        "backend": backend if backend is not None else {
-            "requested": "auto",
-            "resolved": "auto",
-        },
+        "backend": backend,
         "precision": precision if precision is not None else "double",
         "energy": energy if energy is not None else {
             "provider": "none",

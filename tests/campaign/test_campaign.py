@@ -55,12 +55,13 @@ class TestParsing:
             ("single", 1), ("single", 2), ("double", 1), ("double", 2),
         ]
 
-    def test_figures_string_coerces_to_list(self):
-        spec = parse_campaign(
-            '[campaign]\nname = "x"\nfigures = "table2"\n'
-            '[base]\nbenchmark = "lj"\n'
-        )
-        assert spec.figures == ("table2",)
+    def test_figures_field_rejected(self):
+        # Figure rendering is `python -m repro figure`, not a campaign hook.
+        with pytest.raises(CampaignError, match="unknown field 'figures'"):
+            parse_campaign(
+                '[campaign]\nname = "x"\nfigures = ["table2"]\n'
+                '[base]\nbenchmark = "lj"\n'
+            )
 
     def test_load_campaign_reads_file(self, tmp_path):
         path = tmp_path / "c.toml"
@@ -210,16 +211,3 @@ class TestRunCampaign:
         assert report["campaign"]["source_sha256"] == spec.source_sha256
         assert report["campaign"]["axes"]["workers"] == [1, 2]
         assert sorted(report["precision"]) == ["double", "single"]
-
-    def test_figure_hooks_render_after_the_report(self, tmp_path):
-        spec = CampaignSpec(
-            name="fig",
-            base={"benchmark": "lj", "n_atoms": 150, "steps": 2},
-            sweep={},
-            figures=("table3",),
-        )
-        out = tmp_path / "report.json"
-        run_campaign(spec, out=out, timeout=600.0)
-        rendered = tmp_path / "figures" / "table3.txt"
-        assert rendered.exists()
-        assert "V100" in rendered.read_text()

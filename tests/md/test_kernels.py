@@ -40,10 +40,10 @@ class TestRegistry:
     def test_available_backends(self):
         assert set(available_backends()) == {"numpy_ref", "numpy_fast", "compiled"}
 
-    def test_default_is_numpy_fast(self, monkeypatch):
+    def test_default_is_auto(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert DEFAULT_BACKEND == "numpy_fast"
-        assert isinstance(get_backend(), NumpyFastBackend)
+        assert DEFAULT_BACKEND == AUTO_BACKEND == "auto"
+        assert backend_spec(get_backend()) == resolve_auto_backend()
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "numpy_ref")
@@ -64,7 +64,7 @@ class TestRegistry:
     def test_auto_resolves_to_best_available(self):
         from repro.md.kernels.compiled import compiled_available
 
-        expected = "compiled" if compiled_available() else DEFAULT_BACKEND
+        expected = "compiled" if compiled_available() else "numpy_fast"
         assert resolve_auto_backend() == expected
         assert backend_spec(get_backend(AUTO_BACKEND)) == expected
 

@@ -2,8 +2,8 @@
 the bitwise contracts against the numpy implementations, the
 backend x precision oracle matrix, and parallel determinism.
 
-Everything that needs a working provider (numba or a C compiler) is
-guarded by ``needs_compiled``; the availability/fallback tests run
+Everything that needs a working provider (a C compiler) is guarded by
+``needs_compiled``; the availability/fallback tests run
 everywhere because they exercise exactly the no-provider path.
 """
 
@@ -39,7 +39,7 @@ from repro.md.simulation import Simulation
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(),
-    reason="no compiled provider (neither numba nor a C compiler works)",
+    reason="no compiled provider (no working C compiler)",
 )
 
 
@@ -58,7 +58,7 @@ class TestAvailabilityAndFallback:
         status = compiled_diagnostic()
         assert status.startswith("ok (provider=")
         info = provider_info()
-        assert info is not None and info["kind"] in ("numba", "cc")
+        assert info is not None and info["kind"] == "cc"
         assert backend_diagnostics()["compiled"] == status
 
     def test_disabled_provider_reports_why(self, monkeypatch):
@@ -68,6 +68,27 @@ class TestAvailabilityAndFallback:
         status = backend_diagnostics()["compiled"]
         assert status.startswith("unavailable")
         assert "disabled via" in status
+
+    def test_unknown_provider_value_is_unavailable(self, monkeypatch):
+        # `cc` is the only provider; any other value names itself.
+        monkeypatch.setenv(PROVIDER_ENV_VAR, "numba")
+        assert not compiled_available()
+        assert "'numba'" in backend_diagnostics()["compiled"]
+        with pytest.raises(BackendUnavailableError, match="'numba'"):
+            CompiledBackend()
+
+    def test_default_without_provider_is_silent_numpy_fast(self, monkeypatch):
+        """`auto` (the default) never warns; only explicit requests do."""
+        monkeypatch.setenv(PROVIDER_ENV_VAR, "none")
+        monkeypatch.delenv(kernels_module.BACKEND_ENV_VAR, raising=False)
+        monkeypatch.setattr(kernels_module, "_warned_fallbacks", set())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert type(get_backend()) is NumpyFastBackend
+            sim = Simulation(
+                lj_melt_system(256, seed=3), [LennardJonesCut(cutoff=2.5)]
+            )
+        assert sim.backend.name == "numpy_fast"
 
     def test_constructor_raises_with_reason(self, monkeypatch):
         monkeypatch.setenv(PROVIDER_ENV_VAR, "none")

@@ -94,40 +94,3 @@ class TestTrajectoryContinuity:
         big = get_benchmark("lj").build(500)
         with pytest.raises(ValueError, match="atoms"):
             restore_simulation(big, path)
-
-
-class TestLegacyV1:
-    def _write_v1(self, sim, path):
-        """Downgrade a fresh v2 snapshot to the legacy v1 layout."""
-        v2 = path.with_suffix(".v2.npz")
-        save_snapshot(sim, v2)
-        data = dict(np.load(v2))
-        payload = {
-            key: value
-            for key, value in data.items()
-            if not key.startswith(("hist", "neigh_"))
-            and key not in ("state_json", "potential_energy", "virial")
-        }
-        payload["format_version"] = np.array([1])
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-        return path
-
-    def test_v1_rejected_without_opt_in(self, tmp_path):
-        sim = get_benchmark("lj").build(200)
-        sim.run(5)
-        path = self._write_v1(sim, tmp_path / "snap.npz")
-        fresh = get_benchmark("lj").build(200)
-        with pytest.raises(ValueError, match="v1"):
-            restore_simulation(fresh, path)
-
-    def test_v1_upgrade_with_opt_in(self, tmp_path):
-        sim = get_benchmark("lj").build(200)
-        sim.run(5)
-        path = self._write_v1(sim, tmp_path / "snap.npz")
-        fresh = get_benchmark("lj").build(200)
-        snapshot = restore_simulation(fresh, path, allow_v1=True)
-        assert snapshot.version == 1
-        assert fresh.step_number == 5
-        assert np.array_equal(fresh.system.positions, sim.system.positions)
-        assert np.array_equal(fresh.system.velocities, sim.system.velocities)

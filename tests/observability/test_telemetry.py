@@ -732,6 +732,7 @@ class TestProvenance:
 class TestPowerCli:
     def test_power_command_reports_and_exports(self, tmp_path, capsys):
         from repro.__main__ import main
+        from repro.md.kernels import resolve_auto_backend
 
         out = tmp_path / "energy.json"
         code = main([
@@ -746,6 +747,12 @@ class TestPowerCli:
         report = json.loads(out.read_text())
         assert report["schema"] == "repro-bench-report/2"
         assert report["kind"] == "power"
+        # The default backend is `auto`, so the record's request is true
+        # and its resolution is whatever `auto` picks on this host.
+        assert report["backend"] == {
+            "requested": "auto",
+            "resolved": resolve_auto_backend(),
+        }
         assert report["energy"] == {"provider": "model", "kind": "modeled"}
         assert report["joules_per_step"] > 0
         assert report["ts_per_s_per_watt"] > 0

@@ -4,7 +4,7 @@ No external property-testing dependency: each loop draws benchmark /
 seed / step-count combinations from a seeded ``numpy`` generator, runs
 the simulation, and checks that ``load_snapshot(save_snapshot(sim))``
 reproduces every field exactly.  Error paths (missing, corrupted,
-truncated, wrong-version, legacy-v1 files) are exercised explicitly.
+truncated, wrong-version files) are exercised explicitly.
 """
 
 import json
@@ -177,11 +177,18 @@ class TestErrorPaths:
             load_snapshot(path)
 
     def test_unknown_format_version(self, tmp_path):
-        _, path = self._valid_snapshot(tmp_path)
-        bad = tmp_path / "v99.npz"
-        _resave_with_version(path, bad, 99)
-        with pytest.raises(SnapshotError, match="format"):
-            load_snapshot(bad)
+        # v1 (particle state only) has no upgrade path: it fails like
+        # any other unsupported version, for loads and restores alike.
+        sim, path = self._valid_snapshot(tmp_path)
+        for version in (1, 99):
+            bad = tmp_path / f"v{version}.npz"
+            _resave_with_version(path, bad, version)
+            with pytest.raises(SnapshotError, match=f"format v{version}"):
+                load_snapshot(bad)
+            with pytest.raises(SnapshotError, match=f"format v{version}"):
+                restore_simulation(sim, bad)
+        with pytest.raises(TypeError, match="allow_v1"):
+            restore_simulation(sim, path, allow_v1=True)
 
     def test_wrong_atom_count_rejected(self, tmp_path):
         _, path = self._valid_snapshot(tmp_path)
@@ -190,45 +197,6 @@ class TestErrorPaths:
         assert other.system.n_atoms != SIZES["lj"]
         with pytest.raises(SnapshotError, match="atoms"):
             restore_simulation(other, path)
-
-
-class TestV1Compatibility:
-    def _make_v1(self, tmp_path):
-        sim = _run(_build("lj"), 4)
-        v2 = tmp_path / "v2.npz"
-        save_snapshot(sim, v2)
-        v1 = tmp_path / "v1.npz"
-        _resave_with_version(v2, v1, 1, strip_v2_keys=True)
-        return sim, v1
-
-    def test_v1_detected_and_particle_state_loads(self, tmp_path):
-        sim, v1 = self._make_v1(tmp_path)
-        snap = load_snapshot(v1)
-        assert snap.version == 1
-        assert snap.state == {}
-        assert snap.neighbor_build is None
-        assert snap.histories == {}
-        _assert_system_equal(snap.system, sim.system)
-
-    def test_restore_rejects_v1_by_default(self, tmp_path):
-        _, v1 = self._make_v1(tmp_path)
-        fresh = _build("lj")
-        fresh.setup()
-        with pytest.raises(SnapshotError, match="v1"):
-            restore_simulation(fresh, v1)
-
-    def test_restore_accepts_v1_when_opted_in(self, tmp_path):
-        sim, v1 = self._make_v1(tmp_path)
-        fresh = _build("lj")
-        fresh.setup()
-        snap = restore_simulation(fresh, v1, allow_v1=True)
-        assert snap.version == 1
-        assert fresh.step_number == sim.step_number
-        assert np.array_equal(fresh.system.positions, sim.system.positions)
-        assert np.array_equal(fresh.system.velocities, sim.system.velocities)
-        # The documented lossy part: forces come from a fresh recompute,
-        # which for plain NVE LJ still matches the saved ones closely.
-        assert np.abs(fresh.system.forces - sim.system.forces).max() < 1e-9
 
 
 def _jsonify(obj):
@@ -245,18 +213,10 @@ def _roundtrip_json(obj):
     return json.loads(json.dumps(obj, default=_jsonify))
 
 
-def _resave_with_version(src, dst, version, strip_v2_keys=False):
+def _resave_with_version(src, dst, version):
     """Rewrite a valid v2 file under a different format_version tag."""
     with np.load(src) as data:
         payload = {key: data[key] for key in data.files}
     payload["format_version"] = np.array([version])
-    if strip_v2_keys:
-        for key in list(payload):
-            if key.startswith(("hist", "neigh_")) or key in (
-                "state_json",
-                "potential_energy",
-                "virial",
-            ):
-                payload.pop(key)
     with open(dst, "wb") as handle:
         np.savez_compressed(handle, **payload)

@@ -61,11 +61,19 @@ class TestTrackedRecords:
 
 class TestMakeReport:
     def test_minimal_report_validates(self):
-        record = make_report("kernels")
+        record = make_report("kernels", backend="numpy_fast")
         assert record["schema"] == SCHEMA
-        assert record["backend"] == {"requested": "auto", "resolved": "auto"}
+        assert record["backend"] == {
+            "requested": "numpy_fast",
+            "resolved": "numpy_fast",
+        }
         assert record["precision"] == "double"
         assert record["energy"]["kind"] == "unavailable"
+
+    def test_backend_is_required(self):
+        # No placeholder: a record must name the backend that ran.
+        with pytest.raises(TypeError, match="backend"):
+            make_report("kernels")
 
     def test_bare_backend_name_expands(self):
         record = make_report("scaling", backend="numpy_fast")
@@ -73,26 +81,32 @@ class TestMakeReport:
         assert record["backend"]["resolved"] == "numpy_fast"
 
     def test_payload_merges_at_top_level(self):
-        record = make_report("service", results=[1, 2], summary={"x": 1})
+        record = make_report(
+            "service", backend="numpy_fast", results=[1, 2], summary={"x": 1}
+        )
         assert record["results"] == [1, 2]
         assert record["summary"] == {"x": 1}
 
     def test_payload_cannot_shadow_envelope(self):
         with pytest.raises(ReportError, match="shadows envelope"):
-            make_report("kernels", schema="evil")
+            make_report("kernels", backend="numpy_fast", schema="evil")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ReportError, match="kind"):
-            make_report("fridge")
+            make_report("fridge", backend="numpy_fast")
 
     def test_precision_list_accepted(self):
-        record = make_report("precision", precision=["single", "mixed", "double"])
+        record = make_report(
+            "precision",
+            backend="numpy_fast",
+            precision=["single", "mixed", "double"],
+        )
         assert record["precision"] == ["single", "mixed", "double"]
 
 
 class TestValidateReport:
     def _good(self):
-        return make_report("campaign")
+        return make_report("campaign", backend="numpy_fast")
 
     def test_round_trips(self):
         assert validate_report(self._good()) is not None
@@ -165,4 +179,4 @@ class TestHelpers:
 
     def test_all_kinds_buildable(self):
         for kind in KINDS:
-            assert make_report(kind)["kind"] == kind
+            assert make_report(kind, backend="numpy_fast")["kind"] == kind

@@ -120,6 +120,12 @@ class TestCampaignCommand:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["campaign", str(tmp_path / "nope.toml")]) == 2
 
+    def test_figure_dir_option_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", str(tmp_path / "c.toml"), "--figure-dir", "x"])
+        assert exc.value.code == 2
+        assert "--figure-dir" in capsys.readouterr().err
+
     def test_legacy_import_path_still_works(self):
         from repro.__main__ import main as shim_main
 
