@@ -130,7 +130,8 @@ class Box:
         dr = _as_floating(dr)
         lengths = self.lengths.astype(dr.dtype, copy=False)
         shift = np.round(dr / lengths)
-        shift = np.where(self.periodic, shift, dr.dtype.type(0.0))
+        if not self.periodic.all():
+            shift = np.where(self.periodic, shift, dr.dtype.type(0.0))
         return dr - shift * lengths
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,12 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.md.atoms import AtomSystem
+from repro.md.kernels import KernelClient
 
 __all__ = ["ShakeConstraints"]
 
 
-class ShakeConstraints:
+class ShakeConstraints(KernelClient):
     """Iterative SHAKE position + RATTLE velocity constraint solver.
+
+    The per-iteration corrections scatter onto atoms through the kernel
+    backend's ``scatter_add`` (bound by the owning Simulation).
 
     Parameters
     ----------
@@ -65,6 +69,13 @@ class ShakeConstraints:
     def load_state_dict(self, state: dict) -> None:
         self.last_iterations = int(state.get("last_iterations", 0))
 
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Contiguous ``i`` / ``j`` index columns (scatter-ready)."""
+        return (
+            np.ascontiguousarray(self.pairs[:, 0]),
+            np.ascontiguousarray(self.pairs[:, 1]),
+        )
+
     # ------------------------------------------------------------------
     def apply_positions(
         self, system: AtomSystem, reference_positions: np.ndarray, dt: float
@@ -76,8 +87,8 @@ class ShakeConstraints:
         linearization).  Velocities receive the matching correction so
         the half-step kinetic state stays consistent.
         """
-        i = self.pairs[:, 0]
-        j = self.pairs[:, 1]
+        i, j = self._columns()
+        scatter_add = self.backend.scatter_add
         box = system.box
         d2 = self.distances**2
         inv_mi = 1.0 / system.masses[i]
@@ -96,36 +107,43 @@ class ShakeConstraints:
         )
         reference = np.asarray(reference_positions, dtype=np.float64)
         ref_dr = box.minimum_image(reference[i] - reference[j])
+        # Loop invariants, hoisted without changing any rounding.
+        tolerance = self.tolerance * d2
+        two_inv_m = 2.0 * (inv_mi + inv_mj)
+        neg_inv_mi = -inv_mi[:, None]
+        inv_mj_col = inv_mj[:, None]
 
         for iteration in range(1, self.max_iterations + 1):
             dr = box.minimum_image(positions[i] - positions[j])
             r2 = np.einsum("ij,ij->i", dr, dr)
             diff = r2 - d2
-            if np.all(np.abs(diff) <= self.tolerance * d2):
+            if np.all(np.abs(diff) <= tolerance):
                 self.last_iterations = iteration - 1
                 if upcast:
                     system.positions[...] = positions
                     system.velocities[...] = velocities
                 return
             # First-order Lagrange multiplier along the reference bond.
-            denom = 2.0 * (inv_mi + inv_mj) * np.einsum("ij,ij->i", ref_dr, dr)
+            denom = two_inv_m * np.einsum("ij,ij->i", ref_dr, dr)
             # A vanishing projection means the linearization broke down.
             safe = np.where(np.abs(denom) > 1e-12, denom, np.sign(denom) * 1e-12 + 1e-12)
             g = diff / safe
             corr = g[:, None] * ref_dr
-            np.add.at(positions, i, -inv_mi[:, None] * corr)
-            np.add.at(positions, j, inv_mj[:, None] * corr)
+            shift_i = neg_inv_mi * corr
+            shift_j = inv_mj_col * corr
+            scatter_add(positions, i, shift_i)
+            scatter_add(positions, j, shift_j)
             if dt > 0:
-                np.add.at(velocities, i, -inv_mi[:, None] * corr / dt)
-                np.add.at(velocities, j, inv_mj[:, None] * corr / dt)
+                scatter_add(velocities, i, shift_i / dt)
+                scatter_add(velocities, j, shift_j / dt)
         raise RuntimeError(
             f"SHAKE failed to converge in {self.max_iterations} iterations"
         )
 
     def apply_velocities(self, system: AtomSystem) -> None:
         """RATTLE: remove velocity components along the constraints."""
-        i = self.pairs[:, 0]
-        j = self.pairs[:, 1]
+        i, j = self._columns()
+        scatter_add = self.backend.scatter_add
         box = system.box
         inv_mi = 1.0 / system.masses[i]
         inv_mj = 1.0 / system.masses[j]
@@ -135,22 +153,28 @@ class ShakeConstraints:
         velocities = (
             system.velocities.astype(np.float64) if upcast else system.velocities
         )
+        # Positions stay fixed while RATTLE iterates: the bond geometry
+        # and every factor built from it are loop invariants.
+        dr = box.minimum_image(positions[i] - positions[j])
+        r2 = np.einsum("ij,ij->i", dr, dr)
+        tolerance = self.tolerance * r2
+        r2_inv_m = r2 * (inv_mi + inv_mj)
+        neg_inv_mi = -inv_mi[:, None]
+        inv_mj_col = inv_mj[:, None]
         for iteration in range(1, self.max_iterations + 1):
-            dr = box.minimum_image(positions[i] - positions[j])
-            r2 = np.einsum("ij,ij->i", dr, dr)
             dv = velocities[i] - velocities[j]
             rv = np.einsum("ij,ij->i", dr, dv)
             # Converged when the radial relative velocity (units 1/time,
             # normalized by r^2) is below tolerance.
-            if np.all(np.abs(rv) <= self.tolerance * r2):
+            if np.all(np.abs(rv) <= tolerance):
                 self.last_iterations = iteration - 1
                 if upcast:
                     system.velocities[...] = velocities
                 return
-            k = rv / (r2 * (inv_mi + inv_mj))
+            k = rv / r2_inv_m
             corr = k[:, None] * dr
-            np.add.at(velocities, i, -inv_mi[:, None] * corr)
-            np.add.at(velocities, j, inv_mj[:, None] * corr)
+            scatter_add(velocities, i, neg_inv_mi * corr)
+            scatter_add(velocities, j, inv_mj_col * corr)
         raise RuntimeError(
             f"RATTLE failed to converge in {self.max_iterations} iterations"
         )

@@ -52,6 +52,7 @@ __all__ = [
     "backend_diagnostics",
     "get_backend",
     "backend_spec",
+    "KernelClient",
 ]
 
 #: Environment variable consulted when no explicit backend is passed.
@@ -180,3 +181,26 @@ def backend_spec(backend: KernelBackend) -> str:
             )
         backend = nested
     return type(backend).name
+
+
+class KernelClient:
+    """Mixin for a layer whose hot loops call kernel-backend primitives.
+
+    Unset, :attr:`backend` resolves lazily through :func:`get_backend`
+    (env var / default); the owning
+    :class:`~repro.md.simulation.Simulation` assigns its shared backend
+    to every such layer — potentials, constraints, k-space solver.
+    """
+
+    _backend: KernelBackend | None = None
+
+    @property
+    def backend(self) -> KernelBackend:
+        """The kernel backend this layer runs its scatters on."""
+        if self._backend is None:
+            self._backend = get_backend()
+        return self._backend
+
+    @backend.setter
+    def backend(self, value: KernelBackend | str | None) -> None:
+        self._backend = None if value is None else get_backend(value)

@@ -316,7 +316,7 @@ class CompiledBackend(NumpyFastBackend):
         return self._pg_i, self._pg_j, self._pg_dr, self._pg_r
 
     def current_pairs(self, system, neighbors, cutoff=None):
-        if neighbors._positions_at_build is None:
+        if not neighbors.is_built:
             raise RuntimeError("neighbor list has never been built")
         rc = neighbors.cutoff if cutoff is None else float(cutoff)
         pair_i, pair_j = neighbors.pair_i, neighbors.pair_j

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from repro.md.atoms import AtomSystem
+from repro.md.kernels import KernelClient
 from repro.md.potentials.base import ForceResult
 from repro.md.precision import DOUBLE_POLICY, PrecisionPolicy
 from repro.observability.tracer import NULL_TRACER
@@ -29,8 +30,11 @@ __all__ = ["KSpaceSolver"]
 _TWO_OVER_SQRT_PI = float(2.0 / np.sqrt(np.pi))
 
 
-class KSpaceSolver(abc.ABC):
+class KSpaceSolver(KernelClient, abc.ABC):
     """Base class for long-range Coulomb solvers.
+
+    Scatters onto per-atom and mesh arrays go through the kernel
+    backend's ``scatter_add`` (bound by the owning Simulation).
 
     Parameters
     ----------
@@ -104,8 +108,8 @@ class KSpaceSolver(abc.ABC):
             _TWO_OVER_SQRT_PI * self.alpha * np.exp(-ar * ar) / r2 - erf_ar / (r2 * r)
         )
         fvec = f_over_r[:, None] * dr
-        np.add.at(system.forces, i, fvec)
-        np.subtract.at(system.forces, j, fvec)
+        self.backend.scatter_add(system.forces, i, fvec)
+        self.backend.scatter_add(system.forces, j, -fvec)
         virial = float(np.sum(f_over_r * r2, dtype=np.float64))
         return ForceResult(
             float(np.sum(energy, dtype=np.float64)), virial, len(i)

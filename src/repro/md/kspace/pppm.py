@@ -205,9 +205,13 @@ class PPPM(KSpaceSolver):
             nodes, weights = bspline_weights(frac[:, d], self.order)
             nodes_list.append(np.mod(nodes, dims[d]))
             weights_list.append(weights)
-        # Spread into the accumulate dtype: np.add.at promotes each f32
-        # addend into the f64 mesh, giving MIXED its f64 accumulation.
+        # Spread into the accumulate dtype: each f32 addend is promoted
+        # into the f64 mesh, giving MIXED its f64 accumulation.  The mesh
+        # is scattered as a flat view, index (na * ny + nb) * nz + nc.
         rho = np.zeros(self.grid, dtype=self.policy.accumulate_dtype)
+        flat_rho = rho.reshape(-1)
+        _, ny, nz = self.grid
+        scatter_add = self.backend.scatter_add
         q = system.charges.astype(ct, copy=False)
         p = self.order
         for a in range(p):
@@ -215,10 +219,10 @@ class PPPM(KSpaceSolver):
             na = nodes_list[0][:, a]
             for b in range(p):
                 wb = weights_list[1][:, b]
-                nb = nodes_list[1][:, b]
+                row = (na * ny + nodes_list[1][:, b]) * nz
                 for c in range(p):
                     w = q * wa * wb * weights_list[2][:, c]
-                    np.add.at(rho, (na, nb, nodes_list[2][:, c]), w)
+                    scatter_add(flat_rho, row + nodes_list[2][:, c], w)
         return rho, nodes_list, weights_list
 
     def compute(self, system: AtomSystem) -> ForceResult:

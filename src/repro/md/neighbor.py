@@ -15,6 +15,14 @@ Two list flavours are supported, mirroring LAMMPS' ``newton`` setting:
   and EAM;
 * *full* lists store both ``(i, j)`` and ``(j, i)`` — used by Chute,
   which (per Section 3) does not exploit Newton's third law.
+
+The rebuild criterion is strain-aware, as in LAMMPS under a barostat:
+a box change does not by itself invalidate the list.  Each atom's
+displacement is measured from its build position rescaled with the box,
+and the box's compression is charged against the half-skin budget (see
+:meth:`NeighborList.needs_rebuild`).  Force kernels mask stored pairs by
+the cutoff, so a list that is still valid gives the same forces as a
+fresh one.
 """
 
 from __future__ import annotations
@@ -461,10 +469,7 @@ class NeighborList:
         )
         self.csr_neighbors = self.pair_j
 
-        self._positions_at_build = positions.copy()
-        self._box_lengths_at_build = box.lengths.copy()
-        self.stats.n_builds += 1
-        self.stats.steps_since_build = 0
+        self._record_build(positions, box.lengths)
         self.stats.last_pairs = len(self.pair_i)
         # Neighbors/atom counted within the *cutoff* (Table 2 convention),
         # not within cutoff + skin.
@@ -505,20 +510,67 @@ class NeighborList:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    @property
+    def is_built(self) -> bool:
+        """Whether the list holds pairs from some configuration."""
+        return self._positions_at_build is not None
+
+    def _record_build(self, wrapped: np.ndarray, lengths: np.ndarray) -> None:
+        self._positions_at_build = wrapped
+        self._box_lengths_at_build = lengths.copy()
+        self.stats.n_builds += 1
+        self.stats.steps_since_build = 0
+
+    def mark_built(self, system: AtomSystem) -> None:
+        """Record ``system`` as the configuration of a build made elsewhere.
+
+        For executors that build their own pair lists (the parallel
+        engine's per-subdomain lists) but leave the rebuild decision to
+        :meth:`needs_rebuild`.  Counts the build in :attr:`stats`.
+        """
+        self._record_build(system.box.wrap(system.positions), system.box.lengths)
+
     def needs_rebuild(self, system: AtomSystem) -> bool:
-        """True if some atom moved more than half the skin since build."""
+        """True if the stored pairs may miss a pair now within the cutoff.
+
+        With the box as it was at the build, that is when some atom
+        moved more than half the skin.  After a box change (an NPT
+        barostat) each atom's displacement is measured from its build
+        position rescaled by ``s = L / L_build`` about the box origin,
+        and compression shrinks the budget to::
+
+            b = skin/2 - max(0, 1 - min(s)) * (cutoff + skin) / 2
+
+        A pair left out at the build was at least ``cutoff + skin``
+        apart, so while no atom has moved more than ``b`` it is still at
+        least ``min(s) * (cutoff + skin) - 2b >= cutoff`` apart.  The
+        list is rebuilt when ``b <= 0`` or some displacement exceeds it.
+        """
         self.stats.n_checks += 1
         if self._positions_at_build is None:
             return True
         if len(self._positions_at_build) != system.n_atoms:
             return True
-        if not np.allclose(self._box_lengths_at_build, system.box.lengths):
-            return True
-        disp = system.box.minimum_image(
-            system.box.wrap(system.positions) - self._positions_at_build
-        )
+        box = system.box
+        at_build = self._positions_at_build
+        lengths_at_build = self._box_lengths_at_build
+        if np.array_equal(lengths_at_build, box.lengths):
+            budget = 0.5 * self.skin
+        else:
+            periodic_lengths = box.lengths[box.periodic]
+            if len(periodic_lengths) and self.list_cutoff > 0.5 * float(
+                np.min(periodic_lengths)
+            ):
+                return True  # let the build report the too-small box
+            strain = box.lengths / lengths_at_build
+            compression = max(0.0, 1.0 - float(np.min(strain)))
+            budget = 0.5 * self.skin - 0.5 * compression * self.list_cutoff
+            if budget <= 0.0:
+                return True
+            at_build = (at_build - box.origin) * strain + box.origin
+        disp = box.minimum_image(box.wrap(system.positions) - at_build)
         max_sq = float(np.max(np.einsum("ij,ij->i", disp, disp)))
-        return max_sq > (0.5 * self.skin) ** 2
+        return max_sq > budget**2
 
     def ensure(self, system: AtomSystem) -> bool:
         """Rebuild if stale; returns whether a rebuild happened."""
@@ -535,7 +587,7 @@ class NeighborList:
         This is what a bit-exact restart needs: rebuilding the list from
         these inputs reproduces the stored pair *ordering* (hence the
         floating-point summation order of every subsequent force pass)
-        and keeps the skin-displacement rebuild cadence on the original
+        and keeps the strain-aware rebuild cadence on the original
         schedule.  Returns ``None`` before the first build.
         """
         if self._positions_at_build is None:
@@ -557,7 +609,7 @@ class NeighborList:
         image and ``r`` its norm.  ``cutoff`` defaults to the list cutoff
         (without skin), which is what force kernels want.
         """
-        if self._positions_at_build is None:
+        if not self.is_built:
             raise RuntimeError("neighbor list has never been built")
         rc = self.cutoff if cutoff is None else float(cutoff)
         dr = system.box.minimum_image(

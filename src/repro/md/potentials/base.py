@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.md.atoms import AtomSystem
-from repro.md.kernels import KernelBackend, get_backend
+from repro.md.kernels import KernelBackend, KernelClient, get_backend
 from repro.md.neighbor import NeighborList
 
 __all__ = ["ForceResult", "PairPotential", "accumulate_pair_forces"]
@@ -62,7 +62,7 @@ def accumulate_pair_forces(
     )
 
 
-class PairPotential(abc.ABC):
+class PairPotential(KernelClient, abc.ABC):
     """Base class for potentials evaluated over a neighbor list."""
 
     #: Interaction cutoff; the neighbor list must be built with at least
@@ -78,25 +78,6 @@ class PairPotential(abc.ABC):
     #: are skipped and ``None`` is passed instead.
     needs_types: bool = True
     needs_charges: bool = False
-
-    _backend: KernelBackend | None = None
-
-    @property
-    def backend(self) -> KernelBackend:
-        """The kernel backend force evaluation runs on.
-
-        Unset potentials resolve lazily through
-        :func:`repro.md.kernels.get_backend` (env var / default); the
-        owning :class:`~repro.md.simulation.Simulation` assigns its
-        shared backend to every potential at construction.
-        """
-        if self._backend is None:
-            self._backend = get_backend()
-        return self._backend
-
-    @backend.setter
-    def backend(self, value: KernelBackend | str | None) -> None:
-        self._backend = None if value is None else get_backend(value)
 
     @abc.abstractmethod
     def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:

@@ -274,12 +274,8 @@ class Simulation:
                     "the same mode"
                 )
         self.system.cast_storage(self.precision.storage_dtype)
-        self.backend = get_backend(backend)
-        self.backend.set_policy(self.precision)
-        if self.tracer.enabled:
-            self.backend = TracingBackend(self.backend, self.tracer)
-        for potential in self.potentials:
-            potential.backend = self.backend
+        backend = get_backend(backend)
+        backend.set_policy(self.precision)
         self.bonded = list(bonded)
         for term in self.bonded:
             term.policy = self.precision
@@ -311,10 +307,7 @@ class Simulation:
             cutoff, skin, full=full, exclusions=exclusions
         )
         self.neighbor.tracer = self.tracer
-        # The neighbor build consults the same backend instance (the
-        # compiled backend's native cell-list path; numpy backends
-        # decline the hook and keep the vectorized build).
-        self.neighbor.kernels = self.backend
+        self._bind_backend(backend)
         self._setup_done = False
         self._initial_energy: float | None = None
         self.force_executor.bind(self)
@@ -527,12 +520,26 @@ class Simulation:
         """Swap the kernel backend, preserving tracing and precision."""
         new = get_backend(backend)
         new.set_policy(self.precision)
+        self._bind_backend(new)
+
+    def _bind_backend(self, backend: KernelBackend) -> None:
+        """Hand ``backend`` — span-wrapped when tracing — to every layer.
+
+        One instance (one set of scratch buffers) serves the potentials,
+        the neighbor build (the compiled backend's native cell-list
+        path; numpy backends decline that hook), the constraint solver
+        and the k-space solver.
+        """
         self.backend = (
-            TracingBackend(new, self.tracer) if self.tracer.enabled else new
+            TracingBackend(backend, self.tracer) if self.tracer.enabled else backend
         )
         for potential in self.potentials:
             potential.backend = self.backend
         self.neighbor.kernels = self.backend
+        if self.constraints is not None:
+            self.constraints.backend = self.backend
+        if self.kspace is not None:
+            self.kspace.backend = self.backend
 
     # ------------------------------------------------------------------
     def attach_tracer(self, tracer) -> None:
@@ -549,11 +556,7 @@ class Simulation:
         self.neighbor.tracer = tracer
         if self.kspace is not None:
             self.kspace.tracer = tracer
-        inner = getattr(self.backend, "inner", self.backend)
-        self.backend = TracingBackend(inner, tracer) if tracer.enabled else inner
-        for potential in self.potentials:
-            potential.backend = self.backend
-        self.neighbor.kernels = self.backend
+        self._bind_backend(getattr(self.backend, "inner", self.backend))
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
         """Attach (or detach, with ``None``) a metrics registry."""

@@ -719,11 +719,8 @@ class ParallelForceExecutor(ForceExecutor):
             )
         self._publish_state(system)
         self._dispatch(CMD_REBUILD, fault=self._take_fault("rebuild"))
-        neighbor._positions_at_build = system.box.wrap(system.positions)
-        neighbor._box_lengths_at_build = system.box.lengths.copy()
+        neighbor.mark_built(system)
         stats = neighbor.stats
-        stats.n_builds += 1
-        stats.steps_since_build = 0
         directed = int(self._arena["timing"][:, 4].sum())
         stats.last_pairs = directed if neighbor.full else directed // 2
         self.worker_neigh_seconds += self._arena["timing"][:, 2]

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
+from repro.md.kernels.compiled import compiled_available
 from repro.md.neighbor import (
     BRUTE_FORCE_ENV_VAR,
     NeighborList,
     brute_force_pairs,
 )
+from repro.suite import get_benchmark
 
 
 def _pair_set(i, j):
@@ -106,12 +108,91 @@ class TestSkinLogic:
         system.positions[0] += 0.5
         assert nlist.needs_rebuild(system)
 
-    def test_box_change_triggers_rebuild(self):
+    def test_compression_that_uses_up_the_budget_triggers_rebuild(self):
         system = self._system()
         nlist = NeighborList(2.0, 0.4)
         nlist.build(system)
-        system.box.scale(1.01)
+        # Budget 0.2 - 0.5 * (1 - 0.83) * 2.4 < 0: no displacement is safe.
+        system.box.scale(0.83)
+        system.positions *= 0.83
         assert nlist.needs_rebuild(system)
+
+    def test_small_dilation_with_scaled_positions_keeps_the_list(self):
+        system = self._system()
+        nlist = NeighborList(2.0, 0.4)
+        nlist.build(system)
+        system.box.scale(1.005)
+        system.positions *= 1.005
+        assert not nlist.needs_rebuild(system)
+        assert not nlist.ensure(system)
+        assert nlist.stats.n_builds == 1
+
+    def test_compression_spends_the_budget_before_the_skin(self):
+        system = self._system()
+        nlist = NeighborList(2.0, 0.4)
+        nlist.build(system)
+        # s = 0.97 leaves b = 0.2 - 0.5 * 0.03 * 2.4 = 0.164.
+        system.box.scale(0.97)
+        system.positions *= 0.97
+        assert not nlist.needs_rebuild(system)
+        system.positions[0, 0] += 0.18  # under skin/2, over the budget
+        assert nlist.needs_rebuild(system)
+
+    def test_box_shrunk_below_twice_the_list_cutoff_rebuilds_and_fails(self):
+        rng = np.random.default_rng(11)
+        system = AtomSystem(rng.uniform(0, 4.9, (16, 3)), Box([4.9, 4.9, 4.9]))
+        nlist = NeighborList(2.0, 0.4)
+        nlist.build(system)
+        system.box.scale(0.97)  # 4.753 < 2 * 2.4, budget still positive
+        system.positions *= 0.97
+        with pytest.raises(ValueError, match="half the smallest periodic box"):
+            nlist.ensure(system)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        strain=st.tuples(*[st.floats(0.97, 1.03)] * 3),
+        step=st.floats(0.0, 0.2),
+        origin=st.floats(-5.0, 5.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kept_list_holds_every_pair_within_cutoff(
+        self, seed, strain, step, origin
+    ):
+        """Property: when no rebuild is due, no in-cutoff pair is missing.
+
+        The closest pair left out of the list steps head-on, the worst
+        case for the displacement budget; the other atoms jitter.
+        """
+        n = 150
+        rng = np.random.default_rng(seed)
+        box = Box([10.0, 11.0, 12.0], origin=[origin] * 3)
+        positions = box.origin + rng.uniform(0, 1, (n, 3)) * box.lengths
+        exclusions = rng.choice(n, size=(20, 2))
+        exclusions = exclusions[exclusions[:, 0] != exclusions[:, 1]]
+        system = AtomSystem(positions, box)
+        nlist = NeighborList(2.0, 0.4, exclusions=exclusions)
+        nlist.build(system)
+
+        dr = box.minimum_image(positions[:, None, :] - positions[None, :, :])
+        r = np.sqrt(np.einsum("abk,abk->ab", dr, dr))
+        r[np.diag_indices(n)] = np.inf
+        for i, j in ((nlist.pair_i, nlist.pair_j), tuple(exclusions.T)):
+            r[i, j] = r[j, i] = np.inf
+        a, b = np.unravel_index(np.argmin(r), r.shape)
+        toward = rng.uniform(-0.1, 0.1, (n, 3))
+        toward[a] = -dr[a, b] / r[a, b]
+        toward[b] = dr[a, b] / r[a, b]
+
+        scale = np.array(strain)
+        box.scale(scale)
+        moved = box.origin + (positions - box.origin) * scale + step * toward
+        system.positions = moved
+        if nlist.needs_rebuild(system):
+            return
+        bi, bj = brute_force_pairs(box.wrap(moved), box, 2.0)
+        excluded = _pair_set(exclusions[:, 0], exclusions[:, 1])
+        required = _pair_set(bi, bj) - excluded
+        assert required <= _pair_set(nlist.pair_i, nlist.pair_j)
 
     def test_ensure_counts_builds(self):
         system = self._system()
@@ -135,6 +216,57 @@ class TestSkinLogic:
         i, j, dr, r = nlist.current_pairs(system, cutoff=2.5)
         assert len(i) == 1
         assert r[0] == pytest.approx(2.2)
+
+
+class TestStaleListUnderNPT:
+    """A list kept across box changes gives the fresh-list trajectory.
+
+    Stored pairs are CSR-sorted and masked by the cutoff, so as long as
+    the list holds every pair within the cutoff the force sums do not
+    depend on when it was built.
+    """
+
+    STEPS = 30
+
+    def _run(self, backend, *, rebuild_every_step):
+        sim = get_benchmark("rhodo").build(1000, seed=1)
+        sim.set_backend(backend)
+        executor = sim.force_executor
+        if rebuild_every_step:
+            maintain = executor.maintain_neighbors
+
+            def rebuild(system, force=False):
+                return maintain(system, force=True)
+
+            executor.maintain_neighbors = rebuild
+        start = sim.system.box.lengths.copy()
+        sim.run(self.STEPS)
+        assert not np.array_equal(sim.system.box.lengths, start)  # NPT moved it
+        return sim
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "numpy_ref",
+            pytest.param(
+                "compiled",
+                marks=pytest.mark.skipif(
+                    not compiled_available(),
+                    reason="no compiled provider (no working C compiler)",
+                ),
+            ),
+        ],
+    )
+    def test_rhodo_npt_trajectory_is_bitwise_the_fresh_list_one(self, backend):
+        kept = self._run(backend, rebuild_every_step=False)
+        fresh = self._run(backend, rebuild_every_step=True)
+        assert kept.neighbor.stats.n_builds < self.STEPS
+        assert fresh.neighbor.stats.n_builds == self.STEPS + 1
+        for name in ("positions", "velocities"):
+            assert np.array_equal(
+                getattr(kept.system, name), getattr(fresh.system, name)
+            ), name
+        assert np.array_equal(kept.system.box.lengths, fresh.system.box.lengths)
 
 
 class TestVariants:

@@ -116,6 +116,34 @@ class TestSimulation:
         assert rhodo.n_constraints > 0
 
 
+class TestBackendBinding:
+    """One backend instance reaches every layer that calls a kernel."""
+
+    def _layers(self, sim):
+        return [*sim.potentials, sim.constraints, sim.kspace]
+
+    def test_constraints_and_kspace_share_the_simulation_backend(self):
+        from repro.md.kernels.tracing import TracingBackend
+        from repro.observability import Tracer
+        from repro.suite import get_benchmark
+
+        sim = get_benchmark("rhodo").build(120)
+        assert all(layer.backend is sim.backend for layer in self._layers(sim))
+        sim.set_backend("numpy_ref")
+        assert sim.backend.name == "numpy_ref"
+        assert all(layer.backend is sim.backend for layer in self._layers(sim))
+        assert sim.neighbor.kernels is sim.backend
+        sim.attach_tracer(Tracer())
+        assert isinstance(sim.backend, TracingBackend)
+        assert all(layer.backend is sim.backend for layer in self._layers(sim))
+        sim.run(2)
+        names = {record.name for record in sim.tracer.records()}
+        assert "kernel.scatter_add" in names  # SHAKE / PPPM scatters
+        sim.attach_tracer(None)
+        assert sim.backend.name == "numpy_ref"
+        assert all(layer.backend is sim.backend for layer in self._layers(sim))
+
+
 class TestPerTaskAccounting:
     """The engine's Figure 3-style breakdown accounts for every second."""
 
