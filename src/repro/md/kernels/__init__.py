@@ -11,8 +11,8 @@ so that the same potentials run on interchangeable implementations:
     CSR-ordered pairs, ``np.bincount`` segmented accumulation and
     preallocated scratch buffers — the portable fallback.
 ``compiled``
-    Native-code pair forces *and* neighbor-list builds via a ctypes-bound
-    C library compiled on first use.  Optional: without a working C
+    Native-code pair forces, neighbor-list builds and the fused Tersoff
+    triplet pass via a ctypes-bound C library compiled on first use.  Optional: without a working C
     compiler, requesting it falls back to ``numpy_fast`` with a one-time
     warning (see :func:`backend_diagnostics` for the reason).
 

@@ -3,7 +3,9 @@
 The ``compiled`` backend's only native provider: it delivers
 native-code speed anywhere a C compiler is on ``PATH``.  This module
 carries a single self-contained C translation unit implementing the
-Pair/Neigh hot loops, builds it once into a cached shared object with
+Pair/Neigh hot loops — scatters, pair-force accumulation, pair
+geometry, the link-cell neighbor build and the fused Tersoff pass —
+builds it once into a cached shared object with
 strict IEEE flags, and binds it via the stdlib ``ctypes`` — no
 third-party build dependency at all.
 
@@ -23,6 +25,10 @@ tests):
 * Compilation uses ``-fno-fast-math -ffp-contract=off`` so the
   compiler can neither reassociate sums nor contract multiply-adds
   into FMAs — either would silently break the bitwise contract.
+* The Tersoff pass is the one parity-level (not bitwise) kernel: it
+  keeps the numpy path's operand order and sums zeta in row order, but
+  libm ``exp``/``pow`` may differ from numpy's SIMD versions by an ulp.
+  It matches the numpy path within 1e-12, which the smoke test checks.
 
 The build cache defaults to a ``.cc_cache`` directory next to this
 file (overridable via ``$REPRO_COMPILED_CACHE``), keyed by a hash of
@@ -398,7 +404,214 @@ int64_t cell_pairs_f64(const double *pos, int64_t n, const double *lengths,
     free(starts); free(fill); free(order);
     return count;
 }
+
+/* ------------------------------------------------------------------ */
+/* Tersoff bond-order forces over CSR-ordered directed pairs.          */
+/* One pass per row (the run of pairs sharing head atom a): per-pair   */
+/* cutoff/radial terms once, then zeta_p summed over q != p in row     */
+/* order (the numpy path's scatter order) while each triplet's cos,    */
+/* g, dg, exp and d(exp) are cached in row scratch, then b/db, the     */
+/* radial force and the three angular force channels straight into    */
+/* `forces`.  Expressions keep the operand order of Tersoff.compute's  */
+/* numpy path, except that db reuses b ((1+bz)^(-1/2n-1) ==            */
+/* b/(1+bz), one pow fewer per pair); that and libm exp/pow/sin/cos    */
+/* differing from numpy's by an ulp make the result match at parity,  */
+/* not bitwise.  Row scratch is sized from the longest row.            */
+/* prm is packed by _tersoff_vector (below, in Python):                */
+/*   0 A  1 -B  2 -lambda1  3 -lambda2  4 lambda3^m  5 m  6 (m == 3)   */
+/*   7 beta  8 n  9 -0.5/n  10 h  11 gamma  12 c^2  13 d^2             */
+/*  14 -2 gamma c^2  15 R  16 D  17 pi/2  18 -pi/(4D)                  */
+/* Energy and virial are summed per row, then across rows with         */
+/* Neumaier compensation (numpy's np.sum is pairwise; a plain running  */
+/* sum would drift ~1e-13 relative at 4k atoms).  out receives         */
+/* (energy, virial).  Returns 0, or -1 on allocation failure before    */
+/* `forces` is touched.                                                */
+/* ------------------------------------------------------------------ */
+
+static inline void neumaier_add(double *sum, double *comp, double x) {
+    double t = *sum + x;
+    if (fabs(*sum) >= fabs(x)) *comp += (*sum - t) + x;
+    else *comp += (x - t) + *sum;
+    *sum = t;
+}
+
+int64_t tersoff_f64(double *forces, const int64_t *pi, const int64_t *pj,
+                    int64_t m, const double *dr, const double *r,
+                    const double *prm, double *out) {
+    const double A = prm[0], negB = prm[1], negl1 = prm[2], negl2 = prm[3];
+    const double lam3m = prm[4], mm = prm[5];
+    const int cubic = prm[6] != 0.0;
+    const double beta = prm[7], n = prm[8], eb = prm[9];
+    const double h = prm[10], gamma = prm[11], c2 = prm[12], d2 = prm[13];
+    const double dg_pref = prm[14];
+    const double R = prm[15], D = prm[16], half_pi = prm[17];
+    const double dfc_pref = prm[18];
+
+    size_t lmax = 1;
+    for (int64_t k = 0; k < m;) {
+        int64_t s = k;
+        while (k < m && pi[k] == pi[s]) k++;
+        if ((size_t)(k - s) > lmax) lmax = (size_t)(k - s);
+    }
+    /* Per pair: fc dfc fr dfr fa dfa 1/r e(3) zeta; per triplet: cos g dg
+       exp dexp. */
+    double *pw = malloc(lmax * 11 * sizeof(double));
+    double *tw = malloc(lmax * lmax * 5 * sizeof(double));
+    if (!pw || !tw) { free(pw); free(tw); return -1; }
+    double *fc = pw, *dfc = pw + lmax, *fr = pw + 2*lmax, *dfr = pw + 3*lmax;
+    double *fa = pw + 4*lmax, *dfa = pw + 5*lmax, *inv = pw + 6*lmax;
+    double *e = pw + 7*lmax, *zeta = pw + 10*lmax;
+
+    /* Totals and their compensations: energy, pair virial, r_p and r_q
+       channel virials. */
+    double tot[4] = {0.0, 0.0, 0.0, 0.0}, comp[4] = {0.0, 0.0, 0.0, 0.0};
+    int64_t k = 0;
+    while (k < m) {
+        const int64_t s = k, a = pi[k];
+        while (k < m && pi[k] == a) k++;
+        const int64_t L = k - s;
+        const double *drs = dr + 3*s, *rs = r + s;
+        const int64_t *js = pj + s;
+
+        for (int64_t p = 0; p < L; p++) {
+            double rr = rs[p];
+            double x = (rr - R) / D;
+            double xc = x < -1.0 ? -1.0 : (x > 1.0 ? 1.0 : x);
+            if (x <= -1.0) { fc[p] = 1.0; dfc[p] = 0.0; }
+            else if (x >= 1.0) { fc[p] = 0.0; dfc[p] = 0.0; }
+            else {
+                fc[p] = 0.5 - 0.5 * sin(half_pi * xc);
+                dfc[p] = dfc_pref * cos(half_pi * xc);
+            }
+            fr[p] = A * exp(negl1 * rr);
+            dfr[p] = negl1 * fr[p];
+            fa[p] = negB * exp(negl2 * rr);
+            dfa[p] = negl2 * fa[p];
+            inv[p] = 1.0 / rr;
+            e[3*p] = -drs[3*p] * inv[p];
+            e[3*p+1] = -drs[3*p+1] * inv[p];
+            e[3*p+2] = -drs[3*p+2] * inv[p];
+        }
+
+        for (int64_t p = 0; p < L; p++) {
+            const double *dp = drs + 3*p;
+            double z = 0.0;
+            for (int64_t q = 0; q < L; q++) {
+                if (q == p) continue;
+                const double *dq = drs + 3*q;
+                double *t = tw + 5*(p*L + q);
+                double dot = (dp[0]*dq[0] + dp[2]*dq[2]) + dp[1]*dq[1];
+                double cs = dot * inv[p] * inv[q];
+                double u = h - cs;
+                double den = d2 + u*u;
+                double g = gamma * (1.0 + c2 * u * u / (d2 * den));
+                double diff = rs[p] - rs[q];
+                double ex, dex;
+                if (cubic) {
+                    ex = exp(lam3m * diff * diff * diff);
+                    dex = 3.0 * lam3m * diff * diff * ex;
+                } else {
+                    ex = exp(lam3m * pow(diff, mm));
+                    dex = mm * lam3m * pow(diff, mm - 1.0) * ex;
+                }
+                t[0] = cs; t[1] = g; t[2] = dg_pref * u / (den * den);
+                t[3] = ex; t[4] = dex;
+                z += fc[q] * g * ex;
+            }
+            zeta[p] = z;
+        }
+
+        double ax = 0.0, ay = 0.0, az = 0.0;
+        double energy = 0.0, vir_pair = 0.0, vir_p = 0.0, vir_q = 0.0;
+        for (int64_t p = 0; p < L; p++) {
+            double z = zeta[p], b = 1.0, db = 0.0;
+            if (z > 0.0) {
+                double bz = pow(beta * z, n);
+                b = pow(1.0 + bz, eb);
+                db = -0.5 * bz / z * (b / (1.0 + bz));
+            }
+            double bond = fr[p] + b * fa[p];
+            energy += 0.5 * fc[p] * bond;
+            double w = 0.5 * (dfc[p] * bond + fc[p] * (dfr[p] + b * dfa[p]));
+            double f = -w * inv[p];
+            vir_pair += f * rs[p] * rs[p];
+            const double *dp = drs + 3*p;
+            double wx = f * dp[0], wy = f * dp[1], wz = f * dp[2];
+            ax += wx; ay += wy; az += wz;
+            double *fj = forces + 3*js[p];
+            fj[0] -= wx; fj[1] -= wy; fj[2] -= wz;
+
+            double dEz = 0.5 * fc[p] * fa[p] * db;
+            const double *e1 = e + 3*p;
+            for (int64_t q = 0; q < L; q++) {
+                if (q == p) continue;
+                const double *t = tw + 5*(p*L + q);
+                const double *e2 = e + 3*q;
+                double cs = t[0], g = t[1], dg = t[2], ex = t[3], dex = t[4];
+                double gq = fc[q] * g;
+                double c1 = dEz * (fc[q] * g * dex);
+                double c2q = dEz * (dfc[q] * g * ex - gq * dex);
+                double s3 = dEz * (fc[q] * dg * ex);
+                double s1x = c1 * e1[0], s1y = c1 * e1[1], s1z = c1 * e1[2];
+                double s2x = c2q * e2[0], s2y = c2q * e2[1], s2z = c2q * e2[2];
+                double jx = -(s1x + s3 * ((e2[0] - cs * e1[0]) * inv[p]));
+                double jy = -(s1y + s3 * ((e2[1] - cs * e1[1]) * inv[p]));
+                double jz = -(s1z + s3 * ((e2[2] - cs * e1[2]) * inv[p]));
+                double kx = -(s2x + s3 * ((e1[0] - cs * e2[0]) * inv[q]));
+                double ky = -(s2y + s3 * ((e1[1] - cs * e2[1]) * inv[q]));
+                double kz = -(s2z + s3 * ((e1[2] - cs * e2[2]) * inv[q]));
+                fj[0] += jx; fj[1] += jy; fj[2] += jz;
+                double *fk = forces + 3*js[q];
+                fk[0] += kx; fk[1] += ky; fk[2] += kz;
+                ax -= jx + kx; ay -= jy + ky; az -= jz + kz;
+                vir_p += ((s1x*e1[0] + s1z*e1[2]) + s1y*e1[1]) * rs[p];
+                vir_q += ((s2x*e2[0] + s2z*e2[2]) + s2y*e2[1]) * rs[q];
+            }
+        }
+        forces[3*a] += ax; forces[3*a+1] += ay; forces[3*a+2] += az;
+        neumaier_add(&tot[0], &comp[0], energy);
+        neumaier_add(&tot[1], &comp[1], vir_pair);
+        neumaier_add(&tot[2], &comp[2], vir_p);
+        neumaier_add(&tot[3], &comp[3], vir_q);
+    }
+    free(pw); free(tw);
+    out[0] = tot[0] + comp[0];
+    out[1] = ((tot[1] + comp[1]) - (tot[2] + comp[2])) - (tot[3] + comp[3]);
+    return 0;
+}
 """
+
+
+def _tersoff_vector(p) -> np.ndarray:
+    """Pack ``TersoffParameters`` into ``tersoff_f64``'s ``prm`` slots.
+
+    Derived constants are spelled exactly as ``Tersoff``'s numpy path
+    spells them, so both paths multiply by bitwise-identical values.
+    """
+    return np.array(
+        [
+            p.A,
+            -p.B,
+            -p.lambda1,
+            -p.lambda2,
+            p.lambda3**p.m,
+            p.m,
+            1.0 if p.m == 3 else 0.0,
+            p.beta,
+            p.n,
+            -0.5 / p.n,
+            p.h,
+            p.gamma,
+            p.c * p.c,
+            p.d * p.d,
+            -2.0 * p.gamma * p.c * p.c,
+            p.R,
+            p.D,
+            0.5 * np.pi,
+            -0.25 * np.pi / p.D,
+        ],
+        dtype=np.float64,
+    )
 
 
 def _find_compiler() -> str | None:
@@ -548,6 +761,14 @@ class CcProvider:
                 _ptr(i64, True), _ptr(i64, True), c_i64,
             ],
         )
+        self._tersoff = bind(
+            "tersoff_f64",
+            c_i64,
+            [
+                _ptr(f64, True), _ptr(i64), _ptr(i64), c_i64, _ptr(f64),
+                _ptr(f64), _ptr(f64), _ptr(f64, True),
+            ],
+        )
 
     # -- provider API consumed by CompiledBackend ---------------------
     @staticmethod
@@ -584,6 +805,20 @@ class CcProvider:
                 pos, len(pos), lengths, origin, periodic, rc, oi, oj, len(oi)
             )
         )
+
+    def tersoff(self, forces, i, j, dr, r, params):
+        """Fused Tersoff pass over CSR-ordered pairs for the
+        ``TersoffParameters`` ``params``; ``(energy, virial)`` or
+        ``None`` when the row scratch cannot be allocated (``forces``
+        left untouched)."""
+        m = len(i)
+        if not (len(j) == len(r) == m and dr.shape == (m, 3)):
+            raise ValueError("tersoff: i, j, dr and r must describe the same pairs")
+        out = np.empty(2)
+        prm = _tersoff_vector(params)
+        if self._tersoff(forces, i, j, m, dr, r, prm, out) != 0:
+            return None
+        return float(out[0]), float(out[1])
 
 
 def make_provider() -> CcProvider:

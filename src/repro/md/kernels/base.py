@@ -12,6 +12,10 @@ their time in behind a small strategy interface:
 * scattering arbitrary per-pair scalars/vectors (EAM electron
   densities, granular contact torques — :meth:`KernelBackend.scatter_add`).
 
+A few optional primitives let a backend take over a whole loop when it
+can (the native neighbor build, the fused Tersoff pass); their default
+``None`` keeps the caller on its numpy path.
+
 Backends must be bit-compatible in *math* (same formulas, same pair
 set) but are free to reorder summations and reuse scratch storage; the
 backend-equivalence tests pin the reference and optimized backends
@@ -30,6 +34,7 @@ from repro.md.precision import DOUBLE_POLICY, PrecisionPolicy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.md.atoms import AtomSystem
     from repro.md.neighbor import NeighborList
+    from repro.md.potentials.tersoff import TersoffParameters
 
 __all__ = ["KernelBackend"]
 
@@ -144,6 +149,34 @@ class KernelBackend(abc.ABC):
         ``None`` (the default) keeps the caller on the numpy path.
         """
         return None
+
+    def tersoff_forces(
+        self,
+        system: "AtomSystem",
+        i: np.ndarray,
+        j: np.ndarray,
+        dr: np.ndarray,
+        r: np.ndarray,
+        params: "TersoffParameters",
+    ) -> tuple[float, float] | None:
+        """Optional fused Tersoff evaluation over CSR-ordered pairs.
+
+        ``(i, j, dr, r)`` are the directed pairs ``current_pairs``
+        returned (sorted by ``i``) and ``params`` the potential's
+        :class:`~repro.md.potentials.tersoff.TersoffParameters`.  A
+        backend that evaluates the bond-order forces itself accumulates
+        them into ``system.forces`` and returns ``(energy, virial)``;
+        ``None`` keeps :class:`~repro.md.potentials.tersoff.Tersoff` on
+        its numpy triplet path.  The default forwards to ``self.inner``
+        when this backend wraps another one (the convention
+        :func:`repro.md.kernels.backend_spec` unwraps), so a delegating
+        wrapper that does not name this primitive still reaches the
+        native kernel; a plain backend returns ``None``.
+        """
+        inner = getattr(self, "inner", None)
+        if inner is None or inner is self:
+            return None
+        return inner.tersoff_forces(system, i, j, dr, r, params)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

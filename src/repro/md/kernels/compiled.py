@@ -5,7 +5,11 @@ accumulate dominating wall-clock on the paper's LJ benchmark; both are
 scatter/filter loops numpy cannot fuse.  This backend runs them as
 native code through a single provider: a C translation unit compiled on
 first use with the system C compiler and bound via ``ctypes``
-(:mod:`repro.md.kernels._cc_impl`).
+(:mod:`repro.md.kernels._cc_impl`).  Native today: pair geometry
+(``current_pairs``), the scatters and pair-force accumulation, the
+link-cell neighbor build and its pair count, and — under the DOUBLE
+policy — the whole Tersoff triplet evaluation (``tersoff_forces``),
+one fused pass per CSR row in place of numpy's ragged self-join.
 
 Resolution is lazy (first instantiation) and controlled by
 ``REPRO_COMPILED_PROVIDER``: ``cc`` (the default, also when unset) or
@@ -231,6 +235,40 @@ def _smoke_test(provider) -> None:
     ):
         raise AssertionError("cell_pairs deviates from cell_list_half_pairs")
 
+    _smoke_tersoff(provider, rng)
+
+
+def _smoke_tersoff(provider, rng) -> None:
+    """Fused Tersoff pass vs the numpy triplet path (parity, 1e-12).
+
+    A perturbed 64-atom diamond block (rows of 1-4+ partners at its
+    free surfaces) plus an isolated atom (empty row) and a dimer
+    (``zeta = 0`` rows) in a box wide enough that none of them see
+    each other's periodic images.
+    """
+    from repro.md.atoms import AtomSystem
+    from repro.md.box import Box
+    from repro.md.lattice import diamond_positions
+    from repro.md.neighbor import NeighborList
+    from repro.md.potentials.tersoff import Tersoff
+
+    crystal, _ = diamond_positions(2, 5.431)
+    crystal = crystal + 2.0 + rng.normal(scale=0.1, size=crystal.shape)
+    extra = [[22.0, 22.0, 22.0], [22.0, 6.0, 6.0], [24.3, 6.2, 5.9]]
+    system = AtomSystem(np.vstack([crystal, extra]), Box([30.0] * 3), masses=28.0855)
+    pot = Tersoff()
+    pot.backend = NumpyFastBackend()
+    neighbors = NeighborList(pot.cutoff, 0.3, full=True)
+    neighbors.build(system)
+    expect = pot.compute(system, neighbors)
+    i, j, dr, r = pot.backend.current_pairs(system, neighbors, pot.cutoff)
+    got = np.zeros_like(system.forces)
+    energy, virial = provider.tersoff(got, i, j, dr, r, pot.params)
+    np.testing.assert_allclose(got, system.forces, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        [energy, virial], [expect.energy, expect.virial], rtol=1e-12, atol=1e-12
+    )
+
 
 def _mixed_ref(n, i, j, dr, f_over_r):
     """numpy_fast MIXED accumulation: f32 products, f64 bincount."""
@@ -264,7 +302,7 @@ def provider_info() -> dict | None:
 
 
 class CompiledBackend(NumpyFastBackend):
-    """Native-code backend for pair forces and neighbor-list builds.
+    """Native-code backend for pair forces, neighbor-list builds and Tersoff.
 
     Subclasses :class:`NumpyFastBackend` so every primitive has a
     correct numpy fallback: the native path is taken only when the
@@ -478,6 +516,31 @@ class CompiledBackend(NumpyFastBackend):
             capacity = count
         self._nb_hint = count + (count >> 2)
         return self._nb_i[:count].copy(), self._nb_j[:count].copy()
+
+    # ------------------------------------------------------------------
+    # Tersoff
+    # ------------------------------------------------------------------
+    def tersoff_forces(self, system, i, j, dr, r, params):
+        """One fused native pass per CSR row (DOUBLE policy only).
+
+        MIXED and SINGLE return ``None``: their float32 compute tiers
+        are defined by the numpy triplet path.
+        """
+        forces = system.forces
+        if not (
+            self.policy.is_double
+            and forces.dtype == np.float64
+            and forces.flags.c_contiguous
+        ):
+            return None
+        return self._impl.tersoff(
+            forces,
+            np.ascontiguousarray(i, dtype=np.int64),
+            np.ascontiguousarray(j, dtype=np.int64),
+            np.ascontiguousarray(dr, dtype=np.float64),
+            np.ascontiguousarray(r, dtype=np.float64),
+            params,
+        )
 
     def count_pairs_within(self, positions, box, pair_i, pair_j, rc):
         """Count stored pairs within ``rc`` via the bitwise pair-geom

@@ -3,9 +3,10 @@
 The Pair task dominates MD wall-clock (Table 1), so seeing *inside* it
 matters: this wrapper records one ``"kernel"``-category span per
 backend primitive — pair-geometry gather, force accumulation, generic
-scatter — around whatever backend the simulation selected.  It is only
-installed when tracing is enabled, so the disabled-tracer hot path runs
-the raw backend with zero indirection.
+scatter, the fused Tersoff pass — around whatever backend the
+simulation selected.  It is only installed when tracing is enabled, so
+the disabled-tracer hot path runs the raw backend with zero
+indirection.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ class TracingBackend(KernelBackend):
     def count_pairs_within(self, positions, box, pair_i, pair_j, rc):
         # Same reasoning as neighbor_pairs: covered by the build span.
         return self.inner.count_pairs_within(positions, box, pair_i, pair_j, rc)
+
+    def tersoff_forces(self, system, i, j, dr, r, params):
+        with self.tracer.span("kernel.tersoff", "kernel"):
+            return self.inner.tersoff_forces(system, i, j, dr, r, params)
 
     def accumulate_pair_forces(self, forces, i, j, fvec):
         with self.tracer.span("kernel.accumulate", "kernel"):

@@ -70,7 +70,8 @@ class PairPotential(KernelClient, abc.ABC):
     cutoff: float
 
     #: True when the potential needs both pair directions (``newton off``)
-    #: — only the granular history potential does.
+    #: — the granular history potential and Tersoff (whose bond order
+    #: ``b_ij != b_ji``) do.
     needs_full_list: bool = False
 
     #: Whether :meth:`AnalyticPairPotential.pair_terms` reads the

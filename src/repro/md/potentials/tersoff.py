@@ -20,16 +20,25 @@ analytic gradient — checked by the finite-difference property tests).
 
 Because ``b_ij != b_ji``, every *directed* pair carries its own bond
 order: the potential sets :attr:`needs_full_list` and evaluates each
-ordered pair once, exactly like the granular contact model.  All pair
-geometry and scatter accumulation go through the kernel-backend
-primitives, so every registered backend (``numpy_ref``, ``numpy_fast``,
-``compiled``) produces the same triplet traversal from the same CSR
-rows, and the backend-parity contract holds at the 1e-12 tier.
+ordered pair once, exactly like the granular contact model.  Pair
+geometry comes from the kernel backend's ``current_pairs`` (CSR order:
+sorted by head atom), after which the whole triplet evaluation is one
+backend call, :meth:`~repro.md.kernels.base.KernelBackend.tersoff_forces`.
+The ``compiled`` backend answers it under the DOUBLE policy with one
+fused native pass per CSR row; every other backend and policy declines
+(``None``) and the vectorized numpy evaluation below runs instead.
 
-The triplet expansion is fully vectorized: directed pairs arrive sorted
-by head atom (CSR order), so each pair's angular partners are the other
-pairs of its own row — a ragged self-join built from ``bincount`` /
-``cumsum`` / ``repeat``, no Python-level loop over atoms.
+That numpy path is the oracle for ``numpy_ref``/``numpy_fast`` and the
+MIXED/SINGLE route.  Each pair's angular partners are the other pairs
+of its own row — a ragged self-join built from ``bincount`` /
+``cumsum`` / ``repeat``, no Python-level loop over atoms — and the
+zeta and force scatters go through the backend's ``scatter_add``.  The
+native pass implements the same ingredient formulas as the methods
+below (overriding one changes only the numpy path), keeps their
+operand order except for one ``pow`` identity in ``db``, and sums zeta
+in the same row order, so the two agree at the 1e-12 backend-parity
+tier (libm ``exp``/``pow`` differ from numpy's by an ulp, so not
+bitwise).
 """
 
 from __future__ import annotations
@@ -127,11 +136,18 @@ class Tersoff(PairPotential):
         return fa, -p.lambda2 * fa
 
     def angular(self, cos_theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``g(cos theta)`` and ``dg/dcos``."""
+        """``g(cos theta)`` and ``dg/dcos``.
+
+        ``c^2/d^2 - c^2/(d^2 + u^2)`` is evaluated as the equivalent
+        ``c^2 u^2 / (d^2 (d^2 + u^2))``: with silicon's ``c^2/d^2 ~ 4e7``
+        the textbook difference cancels catastrophically (a float32
+        ``g`` near ``cos theta = h`` would carry an absolute error of
+        several units).
+        """
         p = self.params
         u = p.h - cos_theta
         denom = p.d * p.d + u * u
-        g = p.gamma * (1.0 + p.c * p.c / (p.d * p.d) - p.c * p.c / denom)
+        g = p.gamma * (1.0 + p.c * p.c * u * u / (p.d * p.d * denom))
         dg = -2.0 * p.gamma * p.c * p.c * u / (denom * denom)
         return g, dg
 
@@ -155,6 +171,10 @@ class Tersoff(PairPotential):
         n_pairs = len(i)
         if n_pairs == 0:
             return ForceResult()
+        native = kernel.tersoff_forces(system, i, j, dr, r, self.params)
+        if native is not None:
+            energy, virial = native
+            return ForceResult(energy, virial, n_pairs)
         ct = kernel.policy.compute_dtype
         if dr.dtype != ct:
             dr = dr.astype(ct)

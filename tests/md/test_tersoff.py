@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.md import Simulation, policy_for
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
-from repro.md.kernels import available_backends
+from repro.md.kernels import KernelBackend, available_backends, get_backend
+from repro.md.kernels.compiled import compiled_available, resolve_provider
+from repro.md.kernels.tracing import TracingBackend
 from repro.md.lattice import diamond_positions, tersoff_silicon_system
 from repro.md.neighbor import NeighborList
 from repro.md.potentials.tersoff import Tersoff, TersoffParameters
+from repro.observability import Tracer
 
 from tests.conftest import finite_difference_forces
 
@@ -220,6 +224,181 @@ class TestBackendParity:
             )
 
 
+needs_compiled = pytest.mark.skipif(
+    not compiled_available(), reason="no compiled provider on this machine"
+)
+
+
+def _spy_native(monkeypatch):
+    """Record the pair count of every native Tersoff call."""
+    impl, _ = resolve_provider()
+    calls = []
+    original = impl.tersoff
+
+    def spy(forces, i, *args):
+        calls.append(len(i))
+        return original(forces, i, *args)
+
+    monkeypatch.setattr(impl, "tersoff", spy)
+    return calls
+
+
+def _state(positions, box, backend):
+    pot = Tersoff()
+    pot.backend = backend
+    result, system = _compute(positions, box, pot)
+    return result.energy, result.virial, system.forces.copy()
+
+
+def _assert_matches_oracle(positions, box, backend="compiled"):
+    e, w, f = _state(positions, box, backend)
+    e_ref, w_ref, f_ref = _state(positions, box, "numpy_ref")
+    assert e == pytest.approx(e_ref, rel=1e-12, abs=1e-12)
+    assert w == pytest.approx(w_ref, rel=1e-12, abs=1e-12)
+    scale = max(np.abs(f_ref).max(), 1.0)
+    np.testing.assert_allclose(f, f_ref, rtol=0, atol=1e-12 * scale)
+    return f
+
+
+def _thermal_crystal(n=512, seed=11):
+    """Diamond silicon with ~0.1 A thermal displacements."""
+    system = tersoff_silicon_system(n)
+    rng = np.random.default_rng(seed)
+    return system.positions + rng.normal(scale=0.1, size=(n, 3)), system.box
+
+
+@needs_compiled
+class TestNativeKernel:
+    """The compiled backend's fused pass against the numpy triplet path."""
+
+    def test_thermal_crystal_matches_oracle(self, monkeypatch):
+        calls = _spy_native(monkeypatch)
+        pos, box = _thermal_crystal()
+        _assert_matches_oracle(pos, box)
+        assert len(calls) == 1
+
+    def test_degenerate_rows(self, monkeypatch):
+        # Isolated atom (empty row), dimer (zeta = 0 rows) and trimer,
+        # far enough apart that they never interact.
+        calls = _spy_native(monkeypatch)
+        box = Box(np.full(3, 40.0))
+        pos = np.array(
+            [
+                [30.0, 30.0, 30.0],
+                [5.0, 5.0, 5.0],
+                [7.3, 5.1, 4.9],
+                [15.0, 15.0, 15.0],
+                [17.3, 15.2, 14.9],
+                [15.3, 17.2, 15.4],
+            ]
+        )
+        forces = _assert_matches_oracle(pos, box)
+        assert np.all(forces[0] == 0.0)
+        # Dimer alone: b = 1 and db = 0, so E is the pair-only helper
+        # and the forces are equal and opposite.
+        e, _, f = _state(pos[1:3], box, "compiled")
+        assert e == pytest.approx(
+            Tersoff().dimer_energy(np.linalg.norm(pos[2] - pos[1])), rel=1e-12
+        )
+        np.testing.assert_array_equal(f[0], -f[1])
+        assert calls == [2 + 6, 2]  # directed pairs per native call
+
+    def test_dense_row_grows_scratch(self, monkeypatch):
+        # One head atom with 120 partners on three shells inside the
+        # cutoff (the outer one on the cutoff ramp): its row is far
+        # longer than any crystal row.
+        calls = _spy_native(monkeypatch)
+        k = np.arange(40) + 0.5
+        polar = np.arccos(1.0 - 2.0 * k / 40)
+        azimuth = np.pi * (1.0 + 5**0.5) * k
+        sphere = np.stack(
+            [
+                np.cos(azimuth) * np.sin(polar),
+                np.sin(azimuth) * np.sin(polar),
+                np.cos(polar),
+            ],
+            axis=1,
+        )
+        shells = [radius * sphere for radius in (1.9, 2.4, 2.8)]
+        pos = np.vstack([np.zeros((1, 3)), *shells]) + 20.0
+        box = Box(np.full(3, 40.0))
+        _assert_matches_oracle(pos, box)
+        system = AtomSystem(pos, box, masses=28.0855)
+        nlist = NeighborList(Tersoff().cutoff, 0.5, full=True)
+        nlist.build(system)
+        i, *_ = nlist.current_pairs(system)
+        assert np.bincount(i).max() >= 100
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["single", "mixed"])
+    def test_reduced_precision_takes_numpy_path(self, monkeypatch, mode):
+        calls = _spy_native(monkeypatch)
+        pos, box = _thermal_crystal()
+
+        def forces_of(backend, precision=None):
+            system = AtomSystem(pos.copy(), box, masses=28.0855)
+            sim = Simulation(
+                system, [Tersoff()], backend=backend, precision=precision
+            )
+            sim.setup()
+            return sim.system.forces.astype(np.float64)
+
+        forces = forces_of("compiled", mode)
+        assert calls == []
+        ref = forces_of("numpy_ref")
+        err = np.linalg.norm(forces - ref) / np.linalg.norm(ref)
+        assert err < policy_for(mode).force_rtol
+        forces_of("compiled", "double")
+        assert len(calls) == 1
+
+    def test_tracing_backend_reaches_native_kernel(self, monkeypatch):
+        calls = _spy_native(monkeypatch)
+        tracer = Tracer()
+        pos, box = _thermal_crystal(64)
+        traced = TracingBackend(get_backend("compiled"), tracer)
+        _assert_matches_oracle(pos, box, backend=traced)
+        assert len(calls) == 1
+        names = [record.name for record in tracer.records()]
+        assert names.count("kernel.tersoff") == 1
+        assert "kernel.scatter_add" not in names
+
+    def test_inner_wrapper_reaches_native_kernel(self, monkeypatch):
+        # A delegating wrapper that names only the abstract primitives
+        # still reaches the kernel through the base-class forward.
+        calls = _spy_native(monkeypatch)
+        scatters = []
+
+        class Wrapper(KernelBackend):
+            name = "wrapper"
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            @property
+            def policy(self):
+                return self.inner.policy
+
+            def current_pairs(self, system, neighbors, cutoff=None):
+                return self.inner.current_pairs(system, neighbors, cutoff)
+
+            def scatter_add(self, out, index, values):
+                scatters.append(len(index))
+                self.inner.scatter_add(out, index, values)
+
+            def accumulate_pair_forces(self, forces, i, j, fvec):
+                self.inner.accumulate_pair_forces(forces, i, j, fvec)
+
+        pos, box = _thermal_crystal(64)
+        _assert_matches_oracle(pos, box, backend=Wrapper(get_backend("compiled")))
+        assert len(calls) == 1
+        assert scatters == []
+
+    @pytest.mark.parametrize("name", ["numpy_ref", "numpy_fast"])
+    def test_plain_backends_decline(self, name):
+        args = (None,) * 6
+        assert get_backend(name).tersoff_forces(*args) is None
+
+
 class TestDynamics:
     def test_nve_conserves_energy(self):
         from repro.suite.registry import get_benchmark
@@ -258,3 +437,21 @@ class TestParameters:
 
     def test_needs_full_list(self, tersoff):
         assert tersoff.needs_full_list
+
+    def test_general_m_matches_oracle(self):
+        # m = 1 (the carbon/germanium parametrizations) takes the
+        # generic pow branch in both paths.
+        pot_params = TersoffParameters(m=1, lambda3=1.3)
+        pos, box = _thermal_crystal(64)
+        states = {}
+        for name in ("numpy_ref", "compiled"):
+            if name == "compiled" and not compiled_available():
+                continue
+            pot = Tersoff(pot_params)
+            pot.backend = name
+            result, system = _compute(pos, box, pot)
+            states[name] = (result.energy, system.forces.copy())
+        e_ref, f_ref = states["numpy_ref"]
+        for e, f in states.values():
+            assert e == pytest.approx(e_ref, rel=1e-12)
+            np.testing.assert_allclose(f, f_ref, atol=1e-12)
