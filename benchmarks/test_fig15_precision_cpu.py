@@ -1,28 +1,18 @@
 """Bench: regenerate Figure 15 (CPU precision sensitivity).
 
-Two layers now cover this figure:
-
-* the calibrated cost model reproduces the paper's absolute anchors
-  (LJ 115.2 -> 98.9 TS/s single -> double, Rhodopsin 11.5 -> 8.4);
-* the real engine *measures* the same single/mixed/double modes through
-  its PrecisionPolicy — ``benchmarks/bench_precision.py`` writes the
-  tracked ``BENCH_precision.json`` whose ordering and accuracy ratios
-  are consumed here.  The numpy engine's dtype sensitivity differs from
-  vectorized C++, so only the paper's *shape* claims (ordering, mixed
-  recovering speed at double-like drift) transfer; the absolute anchor
-  ratios stay modeled.
+The calibrated cost model reproduces the paper's absolute anchors
+(LJ 115.2 -> 98.9 TS/s single -> double, Rhodopsin 11.5 -> 8.4).  The
+real engine measures the same single/mixed/double modes through its
+PrecisionPolicy with ``python -m repro campaign
+campaigns/precision_sweep.toml``; its accuracy tiers are tier-1 tests
+in ``tests/md/test_precision.py``.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.figures import fig15
 
 from benchmarks.conftest import run_cold
-
-MEASURED = Path(__file__).resolve().parents[1] / "BENCH_precision.json"
 
 
 def test_fig15_cpu_precision(benchmark, cold_campaign):
@@ -36,21 +26,3 @@ def test_fig15_cpu_precision(benchmark, cold_campaign):
         if precision == "double":
             assert ts <= data.series[(bench, "single", size, ranks)] + 1e-9
 
-
-def test_fig15_measured_engine_ordering():
-    """The paper's precision ordering, measured on the real kernels."""
-    if not MEASURED.exists():
-        pytest.skip("run benchmarks/bench_precision.py to generate "
-                    "BENCH_precision.json")
-    summary = json.loads(MEASURED.read_text())["summary"]
-
-    # single >= double holds on every measured benchmark; on LJ (the
-    # acceptance case) mixed also clearly beats double.
-    for bench, ratio in summary["speedup_single_over_double"].items():
-        assert ratio >= 1.0, f"{bench}: single slower than double ({ratio:.3f})"
-    assert summary["speedup_mixed_over_double"]["lj"] > 1.0
-
-    # Accuracy side of the tradeoff: mixed drifts like double (within
-    # 2x over the 2000-step NVE run) while single drifts measurably.
-    assert summary["drift_ratio_mixed_over_double"]["lj"] <= 2.0
-    assert summary["drift_ratio_single_over_double"]["lj"] > 1.0

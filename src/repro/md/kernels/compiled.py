@@ -1,8 +1,8 @@
 """The ``compiled`` kernel backend: native-code Pair/Neigh hot loops.
 
-BENCH_scaling shows the serial neighbor-list build and the pair
-accumulate dominating wall-clock on the paper's LJ benchmark; both are
-scatter/filter loops numpy cannot fuse.  This backend runs them as
+On the paper's LJ benchmark the serial neighbor-list build and the pair
+accumulate dominate the step (perfbench ``lj_32k``: ``task.Neigh_ms``
+and ``task.Pair_ms``); both are scatter/filter loops numpy cannot fuse.  This backend runs them as
 native code through a single provider: a C translation unit compiled on
 first use with the system C compiler and bound via ``ctypes``
 (:mod:`repro.md.kernels._cc_impl`).  Native today: pair geometry

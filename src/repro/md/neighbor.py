@@ -52,7 +52,7 @@ __all__ = [
 _BRUTE_FORCE_MAX_ATOMS = 800
 
 #: Environment override for the brute-force/cell-list crossover, letting
-#: the benchmark harness force either build path without code changes.
+#: a run force either build path without code changes.
 BRUTE_FORCE_ENV_VAR = "REPRO_NEIGHBOR_BRUTE_MAX"
 
 
@@ -351,7 +351,7 @@ class NeighborList:
         Atom count up to which the O(N^2) brute-force build is used
         instead of cell binning.  Defaults to ``$REPRO_NEIGHBOR_BRUTE_MAX``
         or 800; set to 0 to force the cell-list path, or very large to
-        force brute force (the benchmark harness uses both).
+        force brute force.
 
     Besides the flat ``pair_i`` / ``pair_j`` arrays, every build also
     publishes the same pairs in **CSR form**: ``csr_offsets`` (length

@@ -91,23 +91,51 @@ class TestEnginePolicy:
         assert np.isfinite(sim.total_energy())
         assert sim.system.positions.dtype == policy.storage_dtype
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_oracle_force_tolerance(self, mode):
-        """numpy_fast under each mode tracks the float64 numpy_ref
-        oracle within the policy's force_rtol on an identical, evolved
-        configuration (the t=0 lattice has symmetric near-zero forces)."""
-        sim = _lj_sim(n=500, precision=mode)
+    @pytest.mark.parametrize("mode, backend", [
+        *(pytest.param(mode, None, id=mode) for mode in MODES),
+        *(pytest.param(mode, "numpy_fast", id=f"{mode}-numpy_fast")
+          for mode in MODES),
+    ])
+    def test_oracle_force_tolerance(self, mode, backend):
+        """The default backend (``compiled`` wherever the C provider
+        works) and ``numpy_fast`` under each mode track the float64
+        numpy_ref oracle within the policy's force_rtol on an identical,
+        evolved 2048-atom LJ configuration (the t=0 lattice has
+        symmetric near-zero forces)."""
+        sim = _lj_sim(n=2048, precision=mode, backend=backend)
+        if backend is not None:
+            assert sim.backend.name == backend
         sim.setup()
         sim.run(10)
         forces = sim.system.forces.astype(np.float64)
 
-        ref = _lj_sim(n=500, backend=get_backend("numpy_ref"))
+        ref = _lj_sim(n=2048, backend=get_backend("numpy_ref"))
         ref.system.positions[...] = sim.system.positions.astype(np.float64)
         ref.setup()
         ref_forces = np.asarray(ref.system.forces, dtype=np.float64)
 
         err = np.linalg.norm(forces - ref_forces) / np.linalg.norm(ref_forces)
         assert err < policy_for(mode).force_rtol
+
+    def test_mixed_drift_within_twice_double(self):
+        """MIXED's float32 pair terms cost no more than twice DOUBLE's
+        discretization drift: max |E(t) - E(0)| per atom over 200 NVE
+        steps of 2048-atom LJ on ``numpy_fast``, sampled every 50."""
+
+        def max_drift_per_atom(mode):
+            sim = _lj_sim(n=2048, precision=mode, backend="numpy_fast")
+            sim.setup()
+            e0 = float(sim.total_energy())
+            worst = 0.0
+            for _ in range(4):
+                sim.run(50)
+                worst = max(worst, abs(float(sim.total_energy()) - e0))
+            return worst / sim.system.n_atoms
+
+        mixed = max_drift_per_atom("mixed")
+        double = max_drift_per_atom("double")
+        assert 0.0 < double and np.isfinite(mixed)
+        assert mixed <= 2.0 * double, (mixed, double)
 
     def test_double_mode_bitwise_equals_default(self):
         default = _lj_sim()

@@ -70,6 +70,62 @@ class TestSerialParity:
         assert info["last_pairs"] == serial.neighbor.stats.last_pairs
 
 
+class TestForcePathSpeedup:
+    """Two workers do not lose the force path to the serial engine.
+
+    Force path = serial (Pair + Neigh) seconds per step over the slowest
+    worker's (pair + neighbor-rebuild) CPU per step, best of two windows
+    each.  Worker CPU is scheduling-invariant, so the ratio holds on
+    hosts with fewer cores than workers and isolates decomposition
+    quality from the master-side integration.  The owner-computes scheme
+    pays 2x pair math, so two workers roughly break even on pairs and
+    win on the neighbor task.  Pinned to ``numpy_fast``, the backend the
+    floor is calibrated on: a faster backend shrinks the parallelizable
+    fraction.
+    """
+
+    FLOOR = 0.75
+    WARMUP, STEPS, WINDOWS = 2, 6, 2
+
+    def _sim(self):
+        sim = get_benchmark("lj").build(4096)
+        sim.set_backend("numpy_fast")
+        return sim
+
+    def test_two_worker_force_path_speedup(self):
+        serial = self._sim()
+        serial.setup()
+        serial.run(self.WARMUP)
+        serial_windows = []
+        for _ in range(self.WINDOWS):
+            before = serial.timers.seconds["Pair"] + serial.timers.seconds["Neigh"]
+            serial.run(self.STEPS)
+            after = serial.timers.seconds["Pair"] + serial.timers.seconds["Neigh"]
+            serial_windows.append((after - before) / self.STEPS)
+
+        parallel = self._sim()
+        executor = ParallelForceExecutor(2)
+        parallel.force_executor = executor
+        executor.bind(parallel)
+        worker_windows = []
+        try:
+            parallel.setup()
+            parallel.run(self.WARMUP)
+            for _ in range(self.WINDOWS):
+                executor.reset_timings()
+                parallel.run(self.STEPS)
+                per_worker = (
+                    executor.worker_pair_cpu_seconds
+                    + executor.worker_neigh_cpu_seconds
+                ) / max(1, executor.steps_measured)
+                worker_windows.append(float(per_worker.max()))
+        finally:
+            executor.close()
+
+        speedup = min(serial_windows) / min(worker_windows)
+        assert speedup >= self.FLOOR, (serial_windows, worker_windows)
+
+
 class TestDeterminism:
     def test_bitwise_identical_across_worker_counts(self):
         steps = 8

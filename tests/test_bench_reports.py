@@ -1,13 +1,9 @@
-"""The shared ``repro-bench-report/2`` envelope and the tracked records.
+"""The shared ``repro-bench-report/2`` envelope.
 
-Satellite of the campaign-orchestrator PR: every benchmark harness now
-emits one versioned envelope (backend, precision, energy provenance,
-platform) defined once in :mod:`repro.report`, and each tracked
-``BENCH_*.json`` at the repo root must validate against it.
+The ``power`` CLI and the campaign orchestrator emit one versioned
+envelope (backend, precision, energy provenance, platform) defined once
+in :mod:`repro.report`.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -23,45 +19,9 @@ from repro.report import (
     validate_report,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-TRACKED = {
-    "BENCH_kernels.json": "kernels",
-    "BENCH_precision.json": "precision",
-    "BENCH_scaling.json": "scaling",
-    "BENCH_service.json": "service",
-}
-
-
-class TestTrackedRecords:
-    @pytest.mark.parametrize("filename,kind", sorted(TRACKED.items()))
-    def test_tracked_bench_validates(self, filename, kind):
-        path = REPO_ROOT / filename
-        if not path.exists():
-            pytest.skip(f"{filename} not generated on this checkout")
-        record = load_report(path)
-        assert record["kind"] == kind
-
-    @pytest.mark.parametrize("filename", sorted(TRACKED))
-    def test_tracked_bench_keeps_legacy_payload(self, filename):
-        """Migration added the envelope without dropping consumer keys."""
-        path = REPO_ROOT / filename
-        if not path.exists():
-            pytest.skip(f"{filename} not generated on this checkout")
-        record = json.loads(path.read_text())
-        expected = {
-            "BENCH_kernels.json": ("results", "speedups"),
-            "BENCH_precision.json": ("results", "summary"),
-            "BENCH_scaling.json": ("serial", "scaling", "parity"),
-            "BENCH_service.json": ("sweep", "speedup_jobs_per_min"),
-        }[filename]
-        for key in expected:
-            assert key in record, f"{filename} lost payload key {key}"
-
-
 class TestMakeReport:
     def test_minimal_report_validates(self):
-        record = make_report("kernels", backend="numpy_fast")
+        record = make_report("power", backend="numpy_fast")
         assert record["schema"] == SCHEMA
         assert record["backend"] == {
             "requested": "numpy_fast",
@@ -73,31 +33,33 @@ class TestMakeReport:
     def test_backend_is_required(self):
         # No placeholder: a record must name the backend that ran.
         with pytest.raises(TypeError, match="backend"):
-            make_report("kernels")
+            make_report("power")
 
     def test_bare_backend_name_expands(self):
-        record = make_report("scaling", backend="numpy_fast")
+        record = make_report("campaign", backend="numpy_fast")
         assert record["backend"]["requested"] == "numpy_fast"
         assert record["backend"]["resolved"] == "numpy_fast"
 
     def test_payload_merges_at_top_level(self):
         record = make_report(
-            "service", backend="numpy_fast", results=[1, 2], summary={"x": 1}
+            "campaign", backend="numpy_fast", results=[1, 2], summary={"x": 1}
         )
         assert record["results"] == [1, 2]
         assert record["summary"] == {"x": 1}
 
     def test_payload_cannot_shadow_envelope(self):
         with pytest.raises(ReportError, match="shadows envelope"):
-            make_report("kernels", backend="numpy_fast", schema="evil")
+            make_report("power", backend="numpy_fast", schema="evil")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ReportError, match="kind"):
             make_report("fridge", backend="numpy_fast")
+        with pytest.raises(ReportError, match="kind"):
+            make_report("kernels", backend="numpy_fast")
 
     def test_precision_list_accepted(self):
         record = make_report(
-            "precision",
+            "campaign",
             backend="numpy_fast",
             precision=["single", "mixed", "double"],
         )
@@ -178,5 +140,6 @@ class TestHelpers:
         assert energy_provenance()["kind"] in ENERGY_KINDS
 
     def test_all_kinds_buildable(self):
+        assert KINDS == ("power", "campaign")
         for kind in KINDS:
             assert make_report(kind, backend="numpy_fast")["kind"] == kind
